@@ -122,7 +122,6 @@ void act2_fleet() {
   // Scrub transient damage up to 3 consecutive flagged batches, then give
   // up and quarantine; aging damage re-applies after each scrub, so worn
   // replicas march through the ladder to a full repair.
-  cfg.health.scrub_on_detection = true;
   cfg.health.max_scrub_retries = 3;
   cfg.health.canary_every_batches = 16;
   cfg.health.canary_samples = 8;

@@ -12,10 +12,10 @@ namespace {
 
 // Worker-count override. Lock-free shared state (see the atomics convention
 // in thread_annotations.hpp): written by set_num_threads from any thread,
-// read by every parallel_for dispatch. Release on store / acquire on load so
-// a dispatcher that observes a new override also observes everything the
-// setting thread did before publishing it; the value itself is a single int,
-// so no stronger ordering is needed and TSan sees every access as
+// read by every parallel_for_chunks dispatch. Release on store / acquire on
+// load so a dispatcher that observes a new override also observes everything
+// the setting thread did before publishing it; the value itself is a single
+// int, so no stronger ordering is needed and TSan sees every access as
 // synchronized (tests/parallel_test.cpp hammers this concurrently).
 // 0 means "no override" — fall back to FTPIM_THREADS / hardware_concurrency.
 std::atomic<int> g_thread_override{0};
@@ -50,32 +50,6 @@ void set_num_threads(int n) noexcept {
 }
 
 bool in_parallel_region() noexcept { return t_in_worker; }
-
-void parallel_for(std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& fn,
-                  std::size_t min_parallel_trip) {
-  if (begin >= end) return;
-  const std::size_t trip = end - begin;
-  const int workers = num_threads();
-  if (t_in_worker || workers <= 1 || trip < min_parallel_trip) {
-    for (std::size_t i = begin; i < end; ++i) fn(i);
-    return;
-  }
-  const std::size_t nthreads = std::min<std::size_t>(static_cast<std::size_t>(workers), trip);
-  std::vector<std::thread> threads;
-  threads.reserve(nthreads);
-  const std::size_t chunk = (trip + nthreads - 1) / nthreads;
-  for (std::size_t t = 0; t < nthreads; ++t) {
-    const std::size_t lo = begin + t * chunk;
-    const std::size_t hi = std::min(end, lo + chunk);
-    if (lo >= hi) break;
-    threads.emplace_back([lo, hi, &fn] {
-      t_in_worker = true;
-      for (std::size_t i = lo; i < hi; ++i) fn(i);
-    });
-  }
-  for (auto& th : threads) th.join();
-}
 
 void parallel_for_chunks(std::size_t begin, std::size_t end,
                          const std::function<void(std::size_t, std::size_t)>& fn,

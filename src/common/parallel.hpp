@@ -2,10 +2,10 @@
 //
 // Uses a std::thread splitter with grain control that keeps tiny loops serial
 // (thread spawn costs more than the work on 2-core hosts). Parallel regions
-// do not nest: a parallel_for issued from inside a worker thread runs serial,
-// so coarse outer loops (e.g. the defect evaluator fanning out Monte-Carlo
-// runs) are never oversubscribed by the per-image parallelism inside
-// Conv2d::forward.
+// do not nest: a parallel_for_chunks issued from inside a worker thread runs
+// serial, so coarse outer loops (e.g. the defect evaluator fanning out
+// Monte-Carlo runs) are never oversubscribed by the per-image parallelism
+// inside Conv2d::forward.
 #pragma once
 
 #include <cstddef>
@@ -13,11 +13,12 @@
 
 namespace ftpim {
 
-/// Number of worker threads parallel_for will use: set_num_threads() override
-/// if active, else env FTPIM_THREADS, else hardware_concurrency. FTPIM_THREADS
-/// is parsed strictly (env_int_in): a malformed or out-of-range value throws
-/// ContractViolation on the first call instead of silently falling back —
-/// the worker count decides wall-clock AND chunking, so a typo must be loud.
+/// Number of worker threads parallel_for_chunks will use: set_num_threads()
+/// override if active, else env FTPIM_THREADS, else hardware_concurrency.
+/// FTPIM_THREADS is parsed strictly (env_int_in): a malformed or
+/// out-of-range value throws ContractViolation on the first call instead of
+/// silently falling back — the worker count decides wall-clock AND chunking,
+/// so a typo must be loud.
 [[nodiscard]] int num_threads();
 
 /// Overrides the worker count at runtime (n >= 1); n <= 0 clears the
@@ -30,20 +31,16 @@ namespace ftpim {
 /// worker count they read at entry.
 void set_num_threads(int n) noexcept;
 
-/// True while the calling thread is inside a parallel_for worker — nested
-/// parallel loops detect this and degrade to serial execution.
+/// True while the calling thread is inside a parallel_for_chunks worker —
+/// nested parallel loops detect this and degrade to serial execution.
 [[nodiscard]] bool in_parallel_region() noexcept;
 
-/// Runs fn(i) for i in [begin, end). Runs serially when the trip count is
-/// below min_parallel_trip, only one worker is configured, or the caller is
-/// itself a parallel_for worker (no nested parallelism).
-void parallel_for(std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& fn,
-                  std::size_t min_parallel_trip = 2);
-
-/// Runs fn(chunk_begin, chunk_end) over contiguous chunks — lower dispatch
-/// overhead than per-index parallel_for for fine-grained bodies. Same
-/// serial-fallback rules as parallel_for.
+/// Runs fn(chunk_begin, chunk_end) over at most num_threads() contiguous
+/// chunks of ceil(trip / threads) indices, one thread each. Runs
+/// fn(begin, end) on the caller when the trip count is below
+/// min_parallel_trip, only one worker is configured, or the caller is itself
+/// a worker (no nested parallelism). Coarse per-index bodies (one image per
+/// index) pass min_parallel_trip = 2.
 void parallel_for_chunks(std::size_t begin, std::size_t end,
                          const std::function<void(std::size_t, std::size_t)>& fn,
                          std::size_t min_parallel_trip = 1024);

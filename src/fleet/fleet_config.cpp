@@ -104,7 +104,6 @@ void FleetConfig::encode(ByteWriter& out) const {
   out.u32(static_cast<std::uint32_t>(quantized.levels));
   out.u32(static_cast<std::uint32_t>(quantized.adc.bits));
   out.f64(quantized.adc.range_factor);
-  out.f64(quantized.abft.tolerance_scale);
   out.f32(injector.range.g_min);
   out.f32(injector.range.g_max);
   out.u32(static_cast<std::uint32_t>(injector.quant_levels));

@@ -19,8 +19,8 @@ constexpr const char* kCursorChunk = "FLCU";
 constexpr const char* kTimelineChunk = "FLTL";
 constexpr const char* kDevicesChunk = "FLDV";
 
-/// parallel_for workers must not throw (std::thread would terminate), so
-/// every per-device parallel body records its first failure here and the
+/// parallel_for_chunks workers must not throw (std::thread would terminate),
+/// so every per-device parallel body records its first failure here and the
 /// caller rethrows serially after the join — lowest device index wins, which
 /// keeps even the error surface thread-count-independent.
 void rethrow_first(const std::vector<std::exception_ptr>& errors) {

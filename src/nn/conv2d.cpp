@@ -81,7 +81,7 @@ Tensor Conv2d::forward(const Tensor& input, bool training) {
   // backward re-gathers patches from cached_input_ the same way.
   const float* w = weight_.value.data();
   const MvmHook* hook = (!training && mvm_hook_ != nullptr) ? mvm_hook_.get() : nullptr;
-  parallel_for(0, static_cast<std::size_t>(n), [&](std::size_t i) {
+  const auto forward_image = [&](std::size_t i) {
     float* dst = out.data() + static_cast<std::int64_t>(i) * out_plane;
     if (hook != nullptr) {
       // Deployed path: stage the image's patch matrix explicitly and hand
@@ -117,7 +117,13 @@ Tensor Conv2d::forward(const Tensor& input, bool training) {
         for (std::int64_t p = 0; p < oh * ow; ++p) row[p] += pb[c];
       }
     }
-  });
+  };
+  parallel_for_chunks(
+      0, static_cast<std::size_t>(n),
+      [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) forward_image(i);
+      },
+      /*min_parallel_trip=*/2);
   return out;
 }
 
@@ -141,7 +147,7 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
   std::vector<Tensor> dw_partial(static_cast<std::size_t>(slots), Tensor(weight_.value.shape()));
   std::vector<Tensor> db_partial(static_cast<std::size_t>(slots), Tensor(bias_.value.shape()));
 
-  parallel_for(0, static_cast<std::size_t>(slots), [&](std::size_t s) {
+  const auto backward_slot = [&](std::size_t s) {
     const std::int64_t lo = static_cast<std::int64_t>(s) * n / slots;
     const std::int64_t hi = (static_cast<std::int64_t>(s) + 1) * n / slots;
     Tensor& dw = dw_partial[s];
@@ -161,7 +167,13 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
       }
       kernels::conv_grad_input_packed(geom_, w, out_channels_, dy, grad_input.data() + i * in_plane);
     }
-  });
+  };
+  parallel_for_chunks(
+      0, static_cast<std::size_t>(slots),
+      [&](std::size_t first, std::size_t last) {
+        for (std::size_t s = first; s < last; ++s) backward_slot(s);
+      },
+      /*min_parallel_trip=*/2);
 
   for (const Tensor& dw : dw_partial) {
     float* acc = weight_.grad.data();

@@ -1,4 +1,4 @@
-// Algorithm-based fault tolerance (ABFT) for the crossbar engines.
+// Algorithm-based fault tolerance (ABFT) for the quantized crossbar engine.
 //
 // Every weight tile carries checksum column(s) programmed alongside the data
 // columns, in the same cell technology and hence the same fault domain. For a
@@ -13,16 +13,13 @@
 // identity for almost every input, which localizes the fault to a (layer,
 // tile) pair within one batch — no canary wait, no accuracy estimate.
 //
-// Engine encodings (derivations in DESIGN.md section 14):
-//   * QuantizedCrossbarEngine — s_r can reach (L-1)*C which no single L-level
-//     cell can hold, so the checksum is stored as base-L digit columns
-//     d_k(r) with s_r = sum_k L^k d_k(r). The digit columns ride in the same
-//     packed buffer as the data columns and go through the same kernel, so
-//     the check is integer-exact under ideal readout; with a real ADC the
-//     comparison carries a bound derived from the per-column step sizes.
-//   * CrossbarEngine (float) — one wide checksum column per tile holding the
-//     conductance row sums, verified under an epsilon bound scaled by the
-//     input magnitude (valid because conductances are non-negative).
+// Encoding on QuantizedCrossbarEngine (derivation in DESIGN.md section 14):
+// s_r can reach (L-1)*C which no single L-level cell can hold, so the
+// checksum is stored as base-L digit columns d_k(r) with
+// s_r = sum_k L^k d_k(r). The digit columns ride in the same packed buffer as
+// the data columns and go through the same kernel, so the check is
+// integer-exact under ideal readout; with a real ADC the comparison carries a
+// bound derived from the per-column step sizes.
 //
 // Verification outcomes accumulate per tile inside the engine (lock-free on
 // the hot path via per-worker scratch counts, merged behind a cold mutex) and
@@ -35,7 +32,6 @@
 #include <vector>
 
 #include "src/common/annotations.hpp"
-#include "src/common/check.hpp"
 #include "src/common/thread_annotations.hpp"
 
 namespace ftpim::abft {
@@ -45,13 +41,6 @@ struct AbftConfig {
   /// MVM. Off by default — the checksum column costs one extra packed panel
   /// per tile on the quantized path (see BENCH_abft.json).
   bool enabled = false;
-  /// Safety factor on the float engine's rounding-error bound. The quantized
-  /// paths do not use it (their tolerances are exact integer bounds).
-  double tolerance_scale = 64.0;
-
-  void validate() const {
-    FTPIM_CHECK(tolerance_scale >= 1.0, "AbftConfig: tolerance_scale must be >= 1");
-  }
 };
 
 /// Mismatch tally for one tile of one engine. Tiles index the engine's grid:

@@ -4,7 +4,7 @@
 // independently subjected to the SAF model, and the (possibly faulted) pair
 // is read back into weight space. This is exactly what the cell-level
 // CrossbarEngine computes, collapsed to a fast per-weight path (the
-// equivalence is covered by tests/reram_equivalence_test).
+// equivalence is covered by tests/crossbar_engine_test.cpp).
 //
 // The primitive is apply_faults_to_copy: a PURE function from a clean weight
 // tensor to a faulted copy + hit mask that never touches the source. The

@@ -26,7 +26,6 @@ void QuantizedEngineConfig::validate() const {
               "QuantizedEngineConfig: levels must be in [2, 256] (uint8 level storage)");
   range.validate();
   adc.validate();
-  abft.validate();
   if (abft.enabled) {
     // The checksum readout sum_k L^k * A*_k must stay inside int64: the
     // largest digit-column accumulator is 127 * 255 * tile_rows and the digit

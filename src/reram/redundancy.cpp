@@ -60,20 +60,6 @@ RedundantInjectionStats apply_faults_with_redundancy(Tensor& weights,
   return stats;
 }
 
-RedundantInjectionStats inject_model_with_redundancy(Module& model_root,
-                                                     const StuckAtFaultModel& model,
-                                                     const RedundancyConfig& config, Rng& rng) {
-  RedundantInjectionStats total;
-  for (Param* p : parameters_of(model_root)) {
-    if (p->kind != ParamKind::kCrossbarWeight) continue;
-    const RedundantInjectionStats s = apply_faults_with_redundancy(p->value, model, config, rng);
-    total.cells += s.cells;
-    total.faulted_cells += s.faulted_cells;
-    total.affected_weights += s.affected_weights;
-  }
-  return total;
-}
-
 RedundantFaultGuard::RedundantFaultGuard(Module& model_root, const StuckAtFaultModel& model,
                                          const RedundancyConfig& config, Rng& rng) {
   for (Param* p : parameters_of(model_root)) {

@@ -43,12 +43,8 @@ RedundantInjectionStats apply_faults_with_redundancy(Tensor& weights,
                                                      const StuckAtFaultModel& model,
                                                      const RedundancyConfig& config, Rng& rng);
 
-/// Applies redundant injection to every crossbar weight of a network.
-RedundantInjectionStats inject_model_with_redundancy(Module& model_root,
-                                                     const StuckAtFaultModel& model,
-                                                     const RedundancyConfig& config, Rng& rng);
-
-/// RAII guard mirroring WeightFaultGuard for the redundant deployment.
+/// Applies redundant injection to every crossbar weight of a network and
+/// restores the clean weights on destruction (mirrors WeightFaultGuard).
 class RedundantFaultGuard {
  public:
   RedundantFaultGuard(Module& model_root, const StuckAtFaultModel& model,

@@ -69,12 +69,11 @@ struct HealthConfig {
   /// source with a fresh defect map) by their worker.
   bool repair_on_quarantine = true;
   /// ABFT detection handling (quantized deployments with abft.enabled only):
-  /// scrub the flagged tiles in place before escalating to quarantine.
-  bool scrub_on_detection = true;
-  /// Consecutive detected batches tolerated (each answered with a scrub when
-  /// scrub_on_detection) before the replica is force-quarantined. A
-  /// transient fault heals on the first scrub; a persistent one survives
-  /// every retry and escalates to the full repair path.
+  /// consecutive detected batches answered with an in-place scrub of the
+  /// flagged tiles before the replica is force-quarantined (0 = escalate on
+  /// the first detection). A transient fault heals on the first scrub; a
+  /// persistent one survives every retry and escalates to the full repair
+  /// path.
   int max_scrub_retries = 3;
   /// Each ABFT-detected batch also records one failure outcome into the
   /// replica's window, so detections depress the health score like any other

@@ -38,8 +38,6 @@ InferenceServer::InferenceServer(const Module& model, const ServerConfig& config
   FTPIM_CHECK_GE(config.max_attempts, 1, "ServerConfig: max_attempts");
   FTPIM_CHECK_GE(config.default_deadline_ns, std::int64_t{0}, "ServerConfig: default_deadline_ns");
   FTPIM_CHECK_GE(config.shed_ns_per_queued, std::int64_t{0}, "ServerConfig: shed_ns_per_queued");
-  FTPIM_CHECK(!(config.aging.enabled() && config.pool.use_redundancy),
-              "ServerConfig: in-service aging is not modeled for redundant deployments");
   MutexLock lock(mu_);
   per_replica_served_.assign(static_cast<std::size_t>(pool_.size()), 0);
   per_replica_canary_progress_.assign(static_cast<std::size_t>(pool_.size()), 0);
@@ -457,8 +455,7 @@ FTPIM_COLD void InferenceServer::maintain(int replica_id, WorkerTick& tick) {
         ++abft_detections_;
         abft_flagged_tiles_ += flagged;
       }
-      if (config_.health.scrub_on_detection &&
-          tick.consecutive_detections <= config_.health.max_scrub_retries) {
+      if (tick.consecutive_detections <= config_.health.max_scrub_retries) {
         const std::int64_t scrubbed = pool_.scrub(replica_id, reports);
         MutexLock lock(mu_);
         ++abft_scrubs_;

@@ -93,7 +93,7 @@ struct ServerConfig {
   std::int64_t shed_ns_per_queued = 0;
   /// Replica health scoring, canary cadence, and repair policy.
   HealthConfig health{};
-  /// In-service defect growth (incompatible with pool.use_redundancy).
+  /// In-service defect growth.
   AgingConfig aging{};
   /// Test/chaos hook: runs just before each batch's forward pass on the
   /// worker thread. May throw (treated exactly like a forward failure — the

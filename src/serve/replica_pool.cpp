@@ -13,8 +13,6 @@ ReplicaPool::ReplicaPool(const Module& source, const ReplicaPoolConfig& config)
   FTPIM_CHECK(config.sa0_fraction >= 0.0 && config.sa0_fraction <= 1.0,
               "ReplicaPool: sa0_fraction outside [0,1]");
   config.injector.range.validate();
-  FTPIM_CHECK(!(config.engine == ReplicaEngine::kQuantized && config.use_redundancy),
-              "ReplicaPool: redundancy is not modeled for quantized deployments");
   if (config.engine == ReplicaEngine::kQuantized) config.quantized.validate();
 
   source_ = source.clone();
@@ -80,19 +78,6 @@ void ReplicaPool::install(Replica& rep, int index) {
     if (rep.deployment->abft_enabled()) rep.deployment->abft_rebaseline();
     return;
   }
-  if (config_.use_redundancy) {
-    rep.map = DefectMap();
-    if (config_.p_sa > 0.0) {
-      const StuckAtFaultModel fault_model(config_.p_sa, config_.sa0_fraction);
-      Rng rng(seed_for(index, rep.generation));
-      const RedundantInjectionStats rs =
-          inject_model_with_redundancy(*rep.model, fault_model, config_.redundancy, rng);
-      rep.stats.cells = rs.cells;
-      rep.stats.faulted_cells = rs.faulted_cells;
-      rep.stats.affected_weights = rs.affected_weights;
-    }
-    return;
-  }
   const std::int64_t cells = crossbar_cell_count(*rep.model);
   if (config_.p_sa > 0.0) {
     const StuckAtFaultModel fault_model(config_.p_sa, config_.sa0_fraction);
@@ -146,8 +131,6 @@ void ReplicaPool::repair(int index) {
 }
 
 std::int64_t ReplicaPool::refresh(int index) {
-  FTPIM_CHECK(!config_.use_redundancy,
-              "ReplicaPool::refresh: refresh is not modeled for redundant deployments");
   Replica& rep = at(index, "refresh");
   if (config_.engine == ReplicaEngine::kQuantized) {
     rep.deployment->clear_defects();
@@ -171,8 +154,6 @@ std::int64_t ReplicaPool::refresh(int index) {
 
 std::int64_t ReplicaPool::advance_aging(int index, const AgingModel& aging,
                                         std::int64_t target_intervals) {
-  FTPIM_CHECK(!config_.use_redundancy,
-              "ReplicaPool::advance_aging: aging is not modeled for redundant deployments");
   Replica& rep = at(index, "advance_aging");
   if (target_intervals <= rep.aged_intervals) return 0;
   const std::int64_t added =

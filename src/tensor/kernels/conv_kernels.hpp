@@ -8,10 +8,10 @@
 //   - dX blocks over pixel panels: a [col_rows, tile] column-gradient slab is
 //     computed per panel and scattered with col2im_range before the next.
 //
-// Callers run these per-sample (typically under a batch-level parallel_for,
-// where the nested GEMM degrades to serial — per-sample results are then
-// independent of the batch partition, which is what makes Conv2d forward and
-// backward bit-identical across FTPIM_THREADS).
+// Callers run these per-sample (typically under a batch-level
+// parallel_for_chunks, where the nested GEMM degrades to serial — per-sample
+// results are then independent of the batch partition, which is what makes
+// Conv2d forward and backward bit-identical across FTPIM_THREADS).
 #pragma once
 
 #include <cstdint>

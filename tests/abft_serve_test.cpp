@@ -209,20 +209,20 @@ TEST(AbftServe, TransientLifecycleIsBitReproducible) {
 
 // --- Persistent damage: scrub retries exhausted -> quarantine -> repair ------
 
-ServerStats run_escalation_once(int num_requests) {
+ServerStats run_escalation_once(int num_requests, int max_scrub_retries) {
   const auto model = make_model();
   ManualServeClock clock(1'000'000);
   ServerConfig cfg = abft_server_config(clock);
   // Aggressive wear: every served batch is an aging interval in which 20% of
   // the surviving cells fail. Aging faults live in the replica's persistent
   // map, so every scrub re-applies them — detections persist until the
-  // retry budget (2) is exhausted and the replica is force-quarantined.
+  // retry budget is exhausted and the replica is force-quarantined.
   cfg.aging.p_new_per_interval = 0.2;
   cfg.aging.interval_batches = 1;
   cfg.aging.seed = 404;
   cfg.health.canary_every_batches = 0;       // isolate the ABFT path
   cfg.health.detection_fails_window = false;  // escalation is the only route
-  cfg.health.max_scrub_retries = 2;
+  cfg.health.max_scrub_retries = max_scrub_retries;
   cfg.health.repair_on_quarantine = true;
   InferenceServer server(*model, cfg);
 
@@ -238,7 +238,7 @@ ServerStats run_escalation_once(int num_requests) {
 }
 
 TEST(ScrubServe, PersistentDamageEscalatesThroughRetriesToRepair) {
-  const ServerStats stats = run_escalation_once(20);
+  const ServerStats stats = run_escalation_once(20, /*max_scrub_retries=*/2);
   EXPECT_EQ(stats.served, 20);
   EXPECT_EQ(stats.failed, 0);
   EXPECT_GT(stats.aged_cells, 0);
@@ -256,8 +256,8 @@ TEST(ScrubServe, PersistentDamageEscalatesThroughRetriesToRepair) {
 }
 
 TEST(ScrubServe, EscalationLifecycleIsBitReproducible) {
-  const ServerStats a = run_escalation_once(20);
-  const ServerStats b = run_escalation_once(20);
+  const ServerStats a = run_escalation_once(20, /*max_scrub_retries=*/2);
+  const ServerStats b = run_escalation_once(20, /*max_scrub_retries=*/2);
   EXPECT_EQ(a.abft_detections, b.abft_detections);
   EXPECT_EQ(a.abft_flagged_tiles, b.abft_flagged_tiles);
   EXPECT_EQ(a.abft_scrubs, b.abft_scrubs);
@@ -267,6 +267,14 @@ TEST(ScrubServe, EscalationLifecycleIsBitReproducible) {
   EXPECT_EQ(a.repairs, b.repairs);
   EXPECT_EQ(a.summary_line(), b.summary_line());
   EXPECT_EQ(a.health_line(), b.health_line());
+}
+
+TEST(ScrubServe, ZeroRetriesEscalatesEveryDetectionWithoutScrubbing) {
+  const ServerStats stats = run_escalation_once(20, /*max_scrub_retries=*/0);
+  EXPECT_EQ(stats.served, 20);
+  EXPECT_GT(stats.abft_detections, 0);
+  EXPECT_EQ(stats.abft_scrubs, 0);
+  EXPECT_EQ(stats.abft_escalations, stats.abft_detections);
 }
 
 // --- ScrubPolicy::kPeriodic: scheduled whole-replica refresh -----------------

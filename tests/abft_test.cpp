@@ -1,13 +1,10 @@
-// ABFT checksum columns on both crossbar engines (src/reram/abft.hpp):
+// ABFT checksum columns on the quantized crossbar engine (src/reram/abft.hpp):
 //   * Abft           — digit-column sizing, report merging, the accumulator;
 //   * AbftQuantized  — base-L digit checksums on the quantized engine: clean
 //     MVMs verify silently, data outputs are bit-identical with ABFT on/off,
 //     post-baseline faults are detected AND localized to their (rt, ct) tile,
 //     scrubbing heals transient faults, rebaselining accepts existing ones,
-//     and detection decisions are invariant across threads and kernel levels;
-//   * AbftFloat      — the wide-cell checksum on the float engine under the
-//     eps-scaled tolerance: no false positives clean, detection + scrub on a
-//     defective die.
+//     and detection decisions are invariant across threads and kernel levels.
 // Suite names start with Abft* so scripts/ci.sh's TSan leg picks them up.
 #include "src/reram/abft.hpp"
 
@@ -18,7 +15,6 @@
 
 #include "src/common/parallel.hpp"
 #include "src/common/rng.hpp"
-#include "src/reram/crossbar_engine.hpp"
 #include "src/reram/defect_map.hpp"
 #include "src/reram/qinfer/quantized_engine.hpp"
 #include "src/tensor/kernels/dispatch.hpp"
@@ -316,81 +312,6 @@ TEST(AbftQuantized, DecisionsInvariantAcrossThreadsAndKernels) {
       }
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// AbftFloat
-
-CrossbarEngineConfig small_fconfig(bool abft_on) {
-  CrossbarEngineConfig cfg;
-  cfg.tile_rows = 32;
-  cfg.tile_cols = 16;
-  cfg.abft.enabled = abft_on;
-  return cfg;
-}
-
-TEST(AbftFloat, CleanEngineVerifiesSilentlyAndOutputsUnchanged) {
-  const Tensor w = random_tensor(Shape{20, 40}, 41);
-  const Tensor x = random_tensor(Shape{6, 40}, 85);
-  CrossbarEngine on(w, small_fconfig(true));
-  CrossbarEngine off(w, small_fconfig(false));
-  ASSERT_TRUE(on.abft_enabled());
-  ASSERT_FALSE(off.abft_enabled());
-  std::vector<float> y_on(6 * 20), y_off(6 * 20);
-  on.mvm_batch(x.data(), 6, y_on.data());
-  off.mvm_batch(x.data(), 6, y_off.data());
-  EXPECT_EQ(std::memcmp(y_on.data(), y_off.data(), y_on.size() * sizeof(float)), 0);
-  const abft::TileFaultReport rep = on.take_abft_report();
-  EXPECT_EQ(rep.checks, 6 * on.tile_count());
-  EXPECT_TRUE(rep.clean()) << rep.mismatches << " float false positives";
-}
-
-TEST(AbftFloat, DetectsDeviceFaultsAndScrubRestores) {
-  const Tensor w = random_tensor(Shape{20, 40}, 42);
-  const Tensor x = random_tensor(Shape{6, 40}, 86);
-  CrossbarEngine engine(w, small_fconfig(true));
-  std::vector<float> clean(6 * 20);
-  engine.mvm_batch(x.data(), 6, clean.data());
-  (void)engine.take_abft_report();
-
-  engine.apply_device_defects(StuckAtFaultModel(0.05), /*master_seed=*/9, /*device_index=*/2);
-  ASSERT_GT(engine.stuck_cells(), 0);
-  std::vector<float> y(6 * 20);
-  engine.mvm_batch(x.data(), 6, y.data());
-  abft::TileFaultReport rep = engine.take_abft_report();
-  ASSERT_FALSE(rep.clean());
-  ASSERT_GE(rep.flagged_tiles(), 1);
-
-  // Scrub every flagged tile: faults in those tiles clear and their outputs
-  // return to the pre-fault values (no caller map to re-apply here, so a
-  // full-die fault set may need scrubbing beyond the flagged tiles — scrub
-  // everything to prove the re-programming path).
-  abft::TileFaultReport all;
-  for (std::int64_t rt = 0; rt < engine.row_tile_count(); ++rt) {
-    for (std::int64_t ct = 0; ct < engine.col_tile_count(); ++ct) {
-      all.tiles.push_back({rt, ct, 1});
-    }
-  }
-  all.mismatches = 1;
-  EXPECT_EQ(engine.scrub(all), engine.tile_count());
-  EXPECT_EQ(engine.stuck_cells(), 0);
-  engine.mvm_batch(x.data(), 6, y.data());
-  rep = engine.take_abft_report();
-  EXPECT_TRUE(rep.clean());
-  EXPECT_EQ(std::memcmp(y.data(), clean.data(), y.size() * sizeof(float)), 0);
-}
-
-TEST(AbftFloat, RebaselineAcceptsExistingDamage) {
-  const Tensor w = random_tensor(Shape{20, 40}, 43);
-  const Tensor x = random_tensor(Shape{6, 40}, 87);
-  CrossbarEngine engine(w, small_fconfig(true));
-  engine.apply_device_defects(StuckAtFaultModel(0.05), /*master_seed=*/9, /*device_index=*/3);
-  std::vector<float> y(6 * 20);
-  engine.mvm_batch(x.data(), 6, y.data());
-  ASSERT_FALSE(engine.take_abft_report().clean());
-  engine.abft_rebaseline();
-  engine.mvm_batch(x.data(), 6, y.data());
-  EXPECT_TRUE(engine.take_abft_report().clean());
 }
 
 }  // namespace

@@ -329,16 +329,5 @@ TEST(AgingPool, RepairInstallsFreshDeviceAndLeavesSourcePristine) {
   }
 }
 
-TEST(AgingPool, RedundantPoolsRefuseAging) {
-  const auto model = make_mlp({6, 4}, 91);
-  serve::ReplicaPoolConfig cfg = pool_config(1, 0.05, 3);
-  cfg.use_redundancy = true;
-  serve::ReplicaPool pool(*model, cfg);
-  EXPECT_GT(pool.injection_stats(0).cells, 0);
-  AgingConfig acfg;
-  acfg.p_new_per_interval = 0.05;
-  EXPECT_THROW((void)pool.advance_aging(0, AgingModel(acfg), 1), ContractViolation);
-}
-
 }  // namespace
 }  // namespace ftpim

@@ -21,19 +21,14 @@
 #include "src/reram/aging.hpp"
 #include "src/reram/defect_map.hpp"
 #include "src/tensor/tensor.hpp"
+#include "test_util.hpp"
 
 namespace ftpim {
 namespace {
 
 namespace fs = std::filesystem;
 
-/// Fresh empty scratch directory under the system temp dir.
-fs::path scratch_dir(const std::string& name) {
-  const fs::path dir = fs::temp_directory_path() / "ftpim_ckpt_test" / name;
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
-}
+using testing::scratch_dir;
 
 std::vector<std::uint8_t> read_file(const fs::path& path) {
   std::ifstream in(path, std::ios::binary);

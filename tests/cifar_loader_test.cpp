@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "src/data/cifar_loader.hpp"
+#include "test_util.hpp"
 
 namespace ftpim {
 namespace {
@@ -17,8 +18,7 @@ namespace fs = std::filesystem;
 class CifarLoaderTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = (fs::temp_directory_path() / "ftpim_cifar_fixture").string();
-    fs::create_directories(dir_);
+    dir_ = testing::scratch_dir().string();
   }
   void TearDown() override { fs::remove_all(dir_); }
 

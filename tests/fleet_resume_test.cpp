@@ -17,17 +17,10 @@
 #include "src/common/parallel.hpp"
 #include "src/fleet/fleet_simulator.hpp"
 #include "src/models/mlp.hpp"
+#include "test_util.hpp"
 
 namespace ftpim::fleet {
 namespace {
-
-std::string scratch_dir(const std::string& name) {
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "ftpim_fleet_resume_test" / name;
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir.string();
-}
 
 FleetConfig resume_fleet() {
   FleetConfig cfg;
@@ -107,7 +100,7 @@ void kill_and_resume(const Module& model, const FleetConfig& cfg, std::int64_t k
 TEST(FleetResume, KillAtEveryBoundaryReproducesTheSweepBitExactly) {
   const auto model = fleet_model();
   FleetConfig cfg = resume_fleet();
-  cfg.checkpoint_path = scratch_dir("boundaries") + "/sweep.ftck";
+  cfg.checkpoint_path = (testing::scratch_dir("boundaries") / "sweep.ftck").string();
 
   FleetConfig clean = cfg;
   clean.checkpoint_path.clear();  // baseline never touches the disk
@@ -125,7 +118,7 @@ TEST(FleetResume, KillAtEveryBoundaryReproducesTheSweepBitExactly) {
 TEST(FleetResume, ResumeIsBitExactAcrossThreadCounts) {
   const auto model = fleet_model();
   FleetConfig cfg = resume_fleet();
-  cfg.checkpoint_path = scratch_dir("threads") + "/sweep.ftck";
+  cfg.checkpoint_path = (testing::scratch_dir("threads") / "sweep.ftck").string();
 
   FleetConfig clean = cfg;
   clean.checkpoint_path.clear();
@@ -168,7 +161,7 @@ TEST(FleetResume, ResumeIsBitExactAcrossThreadCounts) {
 TEST(FleetResume, MismatchedConfigOrSeedIsRefused) {
   const auto model = fleet_model();
   FleetConfig cfg = resume_fleet();
-  cfg.checkpoint_path = scratch_dir("mismatch") + "/sweep.ftck";
+  cfg.checkpoint_path = (testing::scratch_dir("mismatch") / "sweep.ftck").string();
   {
     FleetSimulator doomed(*model, cfg);
     doomed.step();
@@ -194,7 +187,7 @@ TEST(FleetResume, MismatchedConfigOrSeedIsRefused) {
   // checkpoint_path itself is NOT part of the canonical echo: resuming the
   // same sweep into a different output path is the normal sharded workflow.
   FleetConfig other_path = cfg;
-  other_path.checkpoint_path = scratch_dir("mismatch-out") + "/other.ftck";
+  other_path.checkpoint_path = (testing::scratch_dir("mismatch-out") / "other.ftck").string();
   FleetSimulator repathed(*model, other_path);
   EXPECT_NO_THROW(repathed.resume(cfg.checkpoint_path));
 }
@@ -202,7 +195,7 @@ TEST(FleetResume, MismatchedConfigOrSeedIsRefused) {
 TEST(FleetResume, ResumeAfterSteppingIsAContractViolation) {
   const auto model = fleet_model();
   FleetConfig cfg = resume_fleet();
-  cfg.checkpoint_path = scratch_dir("late") + "/sweep.ftck";
+  cfg.checkpoint_path = (testing::scratch_dir("late") / "sweep.ftck").string();
   {
     FleetSimulator doomed(*model, cfg);
     doomed.step();
@@ -216,7 +209,7 @@ TEST(FleetResume, ResumeAfterSteppingIsAContractViolation) {
 TEST(FleetResume, TruncatedCheckpointIsRefused) {
   const auto model = fleet_model();
   FleetConfig cfg = resume_fleet();
-  const std::string dir = scratch_dir("truncated");
+  const std::string dir = testing::scratch_dir("truncated").string();
   cfg.checkpoint_path = dir + "/sweep.ftck";
   {
     FleetSimulator doomed(*model, cfg);

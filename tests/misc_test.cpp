@@ -61,8 +61,7 @@ TEST(WeightFaultGuard, CellCountIsTwicePerWeight) {
 TEST(Experiment, UsesRealCifarWhenDirectoryProvided) {
   // Build a minimal fixture in the CIFAR-10 binary format and point the
   // experiment at it via FTPIM_CIFAR10_DIR.
-  const std::string dir = (fs::temp_directory_path() / "ftpim_exp_cifar").string();
-  fs::create_directories(dir);
+  const std::string dir = testing::scratch_dir().string();
   auto write_file = [&](const std::string& name, int count) {
     std::FILE* f = std::fopen((dir + "/" + name).c_str(), "wb");
     ASSERT_NE(f, nullptr);

@@ -13,22 +13,36 @@ namespace {
 
 TEST(ParallelFor, VisitsEveryIndexExactlyOnce) {
   std::vector<std::atomic<int>> hits(1000);
-  parallel_for(0, hits.size(), [&](std::size_t i) { hits[i]++; }, /*min_parallel_trip=*/1);
+  parallel_for_chunks(
+      0, hits.size(),
+      [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) hits[i]++;
+      },
+      /*min_parallel_trip=*/1);
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ParallelFor, EmptyRangeIsNoOp) {
   int calls = 0;
-  parallel_for(5, 5, [&](std::size_t) { ++calls; });
-  parallel_for(7, 3, [&](std::size_t) { ++calls; });
+  const auto count = [&](std::size_t, std::size_t) { ++calls; };
+  parallel_for_chunks(5, 5, count);
+  parallel_for_chunks(7, 3, count);
   EXPECT_EQ(calls, 0);
 }
 
 TEST(ParallelFor, SmallTripRunsSerially) {
-  // Below min_parallel_trip the caller thread runs everything (observable
-  // via exact sequential ordering).
+  // Below min_parallel_trip the caller thread runs everything as one chunk
+  // (observable via exact sequential ordering).
   std::vector<std::size_t> order;
-  parallel_for(0, 4, [&](std::size_t i) { order.push_back(i); }, /*min_parallel_trip=*/100);
+  int chunks = 0;
+  parallel_for_chunks(
+      0, 4,
+      [&](std::size_t lo, std::size_t hi) {
+        ++chunks;
+        for (std::size_t i = lo; i < hi; ++i) order.push_back(i);
+      },
+      /*min_parallel_trip=*/100);
+  EXPECT_EQ(chunks, 1);
   EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3}));
 }
 
@@ -71,9 +85,9 @@ TEST(NumThreads, OverrideSetAndClear) {
 
 TEST(NumThreads, ConcurrentOverrideAndLoopsAreRaceFree) {
   // Hammers the documented contract of set_num_threads: concurrent override
-  // writes, num_threads() reads, and parallel_for dispatch must be free of
-  // data races (the TSan config of scripts/ci.sh runs this test) and must
-  // never corrupt loop coverage.
+  // writes, num_threads() reads, and parallel_for_chunks dispatch must be
+  // free of data races (the TSan config of scripts/ci.sh runs this test) and
+  // must never corrupt loop coverage.
   std::atomic<bool> stop{false};
   std::thread mutator([&] {
     int n = 1;
@@ -87,7 +101,12 @@ TEST(NumThreads, ConcurrentOverrideAndLoopsAreRaceFree) {
     const int seen = num_threads();
     EXPECT_GE(seen, 1);
     std::vector<std::atomic<int>> hits(257);
-    parallel_for(0, hits.size(), [&](std::size_t i) { hits[i]++; }, /*min_parallel_trip=*/1);
+    parallel_for_chunks(
+        0, hits.size(),
+        [&](std::size_t lo, std::size_t hi) {
+          for (std::size_t i = lo; i < hi; ++i) hits[i]++;
+        },
+        /*min_parallel_trip=*/1);
     for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
   }
   stop.store(true, std::memory_order_relaxed);

@@ -6,8 +6,7 @@
 //     thread-count bit-identity and the zero-fault-rate accuracy criterion
 //     (within 1% of the float path at >= 16 levels / 8-bit ADC);
 //   * QuantServe  — ReplicaPool quantized lifecycle: clean replica weights,
-//     deterministic per-replica maps, aging WITHOUT a re-clone, repair, and
-//     the redundancy incompatibility check.
+//     deterministic per-replica maps, aging WITHOUT a re-clone, and repair.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -398,13 +397,6 @@ TEST(QuantServe, RepairGenerationsWalkTheDerivedSeedChain) {
   const Tensor b = twin.replica(1).forward(x, /*training=*/false);
   EXPECT_EQ(
       std::memcmp(a.data(), b.data(), static_cast<std::size_t>(a.numel()) * sizeof(float)), 0);
-}
-
-TEST(QuantServe, RedundancyIsIncompatibleWithQuantizedEngines) {
-  auto net = make_mlp({8, 4}, 1);
-  serve::ReplicaPoolConfig config = pool_config(1, 0.05);
-  config.use_redundancy = true;
-  EXPECT_THROW(serve::ReplicaPool(*net, config), ContractViolation);
 }
 
 }  // namespace

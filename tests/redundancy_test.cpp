@@ -102,7 +102,8 @@ TEST(Redundancy, ModelInjectorSkipsNonCrossbarParams) {
     if (p->kind == ParamKind::kBias) biases.push_back(p->value);
   }
   Rng rng(15);
-  inject_model_with_redundancy(*net, StuckAtFaultModel(0.5), RedundancyConfig{.replicas = 3}, rng);
+  const RedundantFaultGuard guard(*net, StuckAtFaultModel(0.5), RedundancyConfig{.replicas = 3},
+                                  rng);
   std::size_t b = 0;
   for (const Param* p : parameters_of(*net)) {
     if (p->kind == ParamKind::kBias) {

@@ -20,18 +20,14 @@
 #include "src/core/train_checkpoint.hpp"
 #include "src/data/synthetic.hpp"
 #include "src/models/small_cnn.hpp"
+#include "test_util.hpp"
 
 namespace ftpim {
 namespace {
 
 namespace fs = std::filesystem;
 
-fs::path scratch_dir(const std::string& name) {
-  const fs::path dir = fs::temp_directory_path() / "ftpim_resume_test" / name;
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
-}
+using testing::scratch_dir;
 
 std::unique_ptr<InMemoryDataset> tiny_vision() {
   SynthVisionConfig cfg;

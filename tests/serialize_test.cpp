@@ -12,9 +12,7 @@
 namespace ftpim {
 namespace {
 
-std::string temp_path(const char* name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
+std::string temp_path(const char* name) { return (testing::scratch_dir() / name).string(); }
 
 TEST(Serialize, RoundTripsStateDict) {
   StateDict state;

@@ -1,9 +1,17 @@
-// Shared helpers for ftpim tests: random tensors and finite-difference
-// gradient checking of Module implementations.
+// Shared helpers for ftpim tests: random tensors, per-test scratch
+// directories, and finite-difference gradient checking of Module
+// implementations.
 #pragma once
 
+#include <gtest/gtest.h>
+#include <unistd.h>
+
 #include <cmath>
+#include <filesystem>
 #include <functional>
+#include <set>
+#include <string>
+#include <system_error>
 #include <vector>
 
 #include "src/common/rng.hpp"
@@ -17,6 +25,35 @@ inline Tensor random_tensor(Shape shape, std::uint64_t seed, float scale = 1.0f)
   Rng rng(seed);
   for (std::int64_t i = 0; i < t.numel(); ++i) t[i] = scale * rng.normal();
   return t;
+}
+
+/// Fresh, empty directory $TMPDIR/ftpim-<suite>.<test>-<pid>[/sub] for the
+/// running test. ctest runs every test as its own process, so tests never
+/// share a path, even when they share a fixture or run in several
+/// checkouts at once. Calling it again with the same `sub` empties that
+/// directory. The per-test directory is removed at process exit.
+inline std::filesystem::path scratch_dir(const std::string& sub = "") {
+  struct Cleanup {
+    std::set<std::filesystem::path> dirs;
+    ~Cleanup() {
+      std::error_code ec;
+      for (const std::filesystem::path& d : dirs) std::filesystem::remove_all(d, ec);
+    }
+  };
+  static Cleanup cleanup;
+  const ::testing::TestInfo* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string name = "ftpim-";
+  name += info != nullptr ? std::string(info->test_suite_name()) + "." + info->name() : "no-test";
+  name += "-" + std::to_string(::getpid());
+  for (char& c : name) {
+    if (c == '/') c = '_';  // parameterized suites and tests contain '/'
+  }
+  const std::filesystem::path root = std::filesystem::temp_directory_path() / name;
+  cleanup.dirs.insert(root);
+  const std::filesystem::path dir = sub.empty() ? root : root / sub;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
 }
 
 /// Scalar objective used by gradient checks: sum(output * probe), whose

@@ -35,6 +35,11 @@ statistics reproducible (see DESIGN.md "Invariants & determinism rules"):
                         dispatch (FTPIM_KERNEL) so every algorithm keeps a
                         portable scalar path and the scalar/AVX2 pair stays
                         testable against each other.
+  test-temp-path        std::filesystem::temp_directory_path() is banned in
+                        tests/ outside tests/test_util.hpp — ctest runs every
+                        test as its own process, so a fixed temp path is
+                        shared by concurrent tests; take a private directory
+                        from testing::scratch_dir() instead.
 
 Usage:
   ftpim_lint.py --root <repo>      lint the tree (exit 1 on any finding)
@@ -167,6 +172,15 @@ RULES = [
         applies=in_src,
         allowed=lambda rel: rel.startswith("src/tensor/kernels/"),
     ),
+    Rule(
+        name="test-temp-path",
+        pattern=re.compile(r"\btemp_directory_path\b"),
+        message="shared temp path in a test; ctest -j runs tests as concurrent "
+        "processes — use testing::scratch_dir() (tests/test_util.hpp), which "
+        "is private to the test",
+        applies=lambda rel: rel.startswith("tests/"),
+        allowed=lambda rel: rel == "tests/test_util.hpp",
+    ),
 ]
 
 PRAGMA_ONCE_RULE = "pragma-once"
@@ -228,6 +242,7 @@ def self_test(fixture_root: str) -> int:
         "src/serve/bad_wall_clock.cpp": {"serve-wall-clock"},
         "src/bad/raw_file_write.cpp": {"raw-file-write"},
         "src/bad/simd_leak.cpp": {"simd-intrinsics"},
+        "tests/bad_temp_path.cpp": {"test-temp-path"},
     }
     good = "src/good/clean_module.hpp"
 
