@@ -1,6 +1,6 @@
 // Substrate micro-benchmarks: GEMM, conv forward, weight-space fault
-// injection, defect-map sampling, crossbar MVM, and the parallel Monte-Carlo
-// defect evaluation. Engineering baseline, not a paper artifact.
+// injection, defect-map sampling, and the parallel Monte-Carlo defect
+// evaluation. Engineering baseline, not a paper artifact.
 //
 // Running the binary always performs the kernel-backend sweep and writes
 // BENCH_gemm.json (override path with FTPIM_BENCH_JSON): GFLOP/s per shape
@@ -24,7 +24,6 @@
 #include "src/core/evaluator.hpp"
 #include "src/data/synthetic.hpp"
 #include "src/models/small_cnn.hpp"
-#include "src/reram/crossbar_engine.hpp"
 #include "src/reram/defect_map.hpp"
 #include "src/reram/fault_injector.hpp"
 #include "src/tensor/gemm.hpp"
@@ -216,36 +215,6 @@ void BM_DefectMapSample(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_DefectMapSample)->Arg(1 << 16)->Arg(1 << 20);
-
-void BM_CrossbarMvm(benchmark::State& state) {
-  const auto dim = state.range(0);
-  const Tensor w = random_tensor(Shape{dim, dim}, 7);
-  CrossbarEngine engine(w, CrossbarEngineConfig{});
-  std::vector<float> x(static_cast<std::size_t>(dim), 0.5f);
-  std::vector<float> y(static_cast<std::size_t>(dim));
-  for (auto _ : state) {
-    engine.mvm(x.data(), y.data());
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * dim * dim);
-}
-BENCHMARK(BM_CrossbarMvm)->Arg(128)->Arg(256);
-
-// Batched MVM amortizes packing + tile traversal over the whole batch.
-void BM_CrossbarMvmBatch(benchmark::State& state) {
-  const std::int64_t dim = 128;
-  const auto batch = state.range(0);
-  const Tensor w = random_tensor(Shape{dim, dim}, 7);
-  CrossbarEngine engine(w, CrossbarEngineConfig{});
-  std::vector<float> x(static_cast<std::size_t>(batch * dim), 0.5f);
-  std::vector<float> y(static_cast<std::size_t>(batch * dim));
-  for (auto _ : state) {
-    engine.mvm_batch(x.data(), batch, y.data());
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * dim * dim * batch);
-}
-BENCHMARK(BM_CrossbarMvmBatch)->Arg(1)->Arg(8)->Arg(32);
 
 // End-to-end Monte-Carlo defect evaluation at a fixed worker count
 // (state.range(0) overrides FTPIM_THREADS). Run with Arg(1) vs Arg(2)/Arg(4)

@@ -1,7 +1,8 @@
 // Cell-level crossbar tour: program a weight matrix onto tiled ReRAM
-// crossbars, inject per-device defects, and compare the analog MVM against
-// the ideal digital result — including the agreement between the cell-level
-// engine and the fast weight-space injector used during training.
+// crossbars, apply per-device defect maps, and compare the MVM through the
+// read-back effective weights against the ideal digital result — including
+// the agreement between the cell-level engine and the fast weight-space
+// injector used during training.
 #include <cmath>
 #include <cstdio>
 #include <vector>
@@ -9,6 +10,7 @@
 #include "src/common/config.hpp"
 #include "src/common/rng.hpp"
 #include "src/reram/crossbar_engine.hpp"
+#include "src/reram/defect_map.hpp"
 #include "src/reram/fault_injector.hpp"
 #include "src/tensor/gemm.hpp"
 #include "src/tensor/tensor.hpp"
@@ -24,6 +26,13 @@ double rel_error(const std::vector<float>& a, const std::vector<float>& b) {
     den += b[i] * b[i];
   }
   return std::sqrt(num / (den + 1e-12));
+}
+
+/// y = W x through the packed GEMM backend.
+std::vector<float> matvec(const Tensor& w, const std::vector<float>& x) {
+  std::vector<float> y(static_cast<std::size_t>(w.dim(0)), 0.0f);
+  gemm(w.dim(0), 1, w.dim(1), 1.0f, w.data(), x.data(), 0.0f, y.data());
+  return y;
 }
 
 }  // namespace
@@ -49,30 +58,25 @@ int main() {
 
   std::vector<float> x(static_cast<std::size_t>(in));
   for (auto& v : x) v = rng.uniform(-1.0f, 1.0f);
-  std::vector<float> y_ideal(static_cast<std::size_t>(out), 0.0f);
-  gemm(out, 1, in, 1.0f, w.data(), x.data(), 0.0f, y_ideal.data());
-
-  std::vector<float> y_xbar(static_cast<std::size_t>(out));
-  engine.mvm(x.data(), y_xbar.data());
+  const std::vector<float> y_ideal = matvec(w, x);
   std::printf("defect-free crossbar MVM vs ideal GEMM: rel. error %.2e\n\n",
-              rel_error(y_xbar, y_ideal));
+              rel_error(matvec(engine.read_back(), x), y_ideal));
 
   std::printf("%-8s %-12s %-14s %-12s\n", "P_sa", "stuck cells", "MVM rel.err", "readback L2");
   for (const double p_sa : {0.001, 0.01, 0.05, 0.1}) {
+    // A fresh die: clear the previous device's faults, then draw this one's
+    // map over the 2 * out * in model cells.
     engine.clear_defects();
-    // Re-program: stuck cells from previous device are cleared, fresh die.
-    CrossbarEngine device(w, cfg);
-    device.apply_device_defects(StuckAtFaultModel(p_sa), /*master_seed=*/7,
-                                /*device_index=*/static_cast<std::uint64_t>(p_sa * 1e6));
-    device.mvm(x.data(), y_xbar.data());
-    const Tensor w_eff = device.read_back();
+    Rng die_rng(derive_seed(/*master_seed=*/7, static_cast<std::uint64_t>(p_sa * 1e6)));
+    engine.apply_defect_map(DefectMap::sample(2 * out * in, StuckAtFaultModel(p_sa), die_rng));
+    const Tensor w_eff = engine.read_back();
     double diff = 0.0;
     for (std::int64_t i = 0; i < w.numel(); ++i) {
       diff += (w_eff[i] - w[i]) * (w_eff[i] - w[i]);
     }
     std::printf("%-8g %-12lld %-14.3e %-12.4f\n", p_sa,
-                static_cast<long long>(device.stuck_cells()), rel_error(y_xbar, y_ideal),
-                std::sqrt(diff));
+                static_cast<long long>(engine.stuck_cells()),
+                rel_error(matvec(w_eff, x), y_ideal), std::sqrt(diff));
   }
 
   // Fast path equivalence: weight-space injector matches cell-level stats.

@@ -49,8 +49,6 @@ void set_num_threads(int n) noexcept {
   g_thread_override.store(n > 0 ? n : 0, std::memory_order_release);
 }
 
-bool in_parallel_region() noexcept { return t_in_worker; }
-
 void parallel_for_chunks(std::size_t begin, std::size_t end,
                          const std::function<void(std::size_t, std::size_t)>& fn,
                          std::size_t min_parallel_trip) {

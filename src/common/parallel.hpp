@@ -31,10 +31,6 @@ namespace ftpim {
 /// worker count they read at entry.
 void set_num_threads(int n) noexcept;
 
-/// True while the calling thread is inside a parallel_for_chunks worker —
-/// nested parallel loops detect this and degrade to serial execution.
-[[nodiscard]] bool in_parallel_region() noexcept;
-
 /// Runs fn(chunk_begin, chunk_end) over at most num_threads() contiguous
 /// chunks of ceil(trip / threads) indices, one thread each. Runs
 /// fn(begin, end) on the caller when the trip count is below

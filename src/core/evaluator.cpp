@@ -154,28 +154,14 @@ CanarySet make_canary_set(const Module& clean_model, const Shape& sample_shape, 
   return canary;
 }
 
-int score_canary(const Tensor& logits, const CanarySet& canary, float max_abs_err) {
+int score_canary(const Tensor& logits, const CanarySet& canary) {
   FTPIM_CHECK_EQ(logits.numel(), canary.golden.numel(),
                  "score_canary: logits shape mismatch (%lld values vs golden %lld)",
                  static_cast<long long>(logits.numel()),
                  static_cast<long long>(canary.golden.numel()));
-  const std::int64_t rows = canary.count();
-  const std::int64_t cols = rows > 0 ? canary.golden.numel() / rows : 0;
   int passed = 0;
-  for (std::int64_t r = 0; r < rows; ++r) {
-    bool ok;
-    if (max_abs_err >= 0.0f) {
-      ok = true;
-      for (std::int64_t c = 0; c < cols; ++c) {
-        if (std::abs(logits[r * cols + c] - canary.golden[r * cols + c]) > max_abs_err) {
-          ok = false;
-          break;
-        }
-      }
-    } else {
-      ok = argmax_row(logits, r) == canary.golden_pred[static_cast<std::size_t>(r)];
-    }
-    if (ok) ++passed;
+  for (std::int64_t r = 0; r < canary.count(); ++r) {
+    if (argmax_row(logits, r) == canary.golden_pred[static_cast<std::size_t>(r)]) ++passed;
   }
   return passed;
 }

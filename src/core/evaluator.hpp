@@ -92,10 +92,7 @@ struct CanarySet {
                                         int count, std::uint64_t seed);
 
 /// Scores replica logits against the canary's golden answers; returns how
-/// many of the `canary.count()` samples PASS. With max_abs_err >= 0 a sample
-/// passes when every logit is within max_abs_err of golden; otherwise
-/// (default) it passes when the argmax prediction matches.
-[[nodiscard]] int score_canary(const Tensor& logits, const CanarySet& canary,
-                               float max_abs_err = -1.0f);
+/// many of the `canary.count()` samples PASS (argmax prediction matches).
+[[nodiscard]] int score_canary(const Tensor& logits, const CanarySet& canary);
 
 }  // namespace ftpim

@@ -36,7 +36,6 @@ FleetSimulator::FleetSimulator(const Module& source, const FleetConfig& config) 
   source_ = source.clone();
   probe_ = make_canary_set(*source_, config_.sample_shape, config_.probe_samples,
                            derive_seed(config_.seed, kProbeStream));
-  policy_ = make_repair_policy(config_.policy, config_.policy_config);
 
   // Device construction — profile draw, clone, defect injection, deployment
   // — is index-keyed and independent, so it fans out like a tick does.
@@ -68,7 +67,7 @@ void FleetSimulator::step() {
       [&](std::size_t chunk_begin, std::size_t chunk_end) {
         for (std::size_t i = chunk_begin; i < chunk_end; ++i) {
           try {
-            slots[i] = devices_[i]->step(*policy_, tick, probe_);
+            slots[i] = devices_[i]->step(tick, probe_);
           } catch (...) {
             errors[i] = std::current_exception();
           }

@@ -36,7 +36,6 @@
 
 #include "src/core/evaluator.hpp"
 #include "src/fleet/fleet_config.hpp"
-#include "src/fleet/repair_policy.hpp"
 #include "src/fleet/survival.hpp"
 #include "src/fleet/virtual_device.hpp"
 #include "src/nn/module.hpp"
@@ -91,7 +90,6 @@ class FleetSimulator {
   FleetConfig config_;
   std::unique_ptr<Module> source_;  ///< pristine clone; devices clone from it
   CanarySet probe_;
-  std::unique_ptr<RepairPolicy> policy_;
   std::vector<std::unique_ptr<VirtualDevice>> devices_;
   std::vector<TickAggregate> timeline_;
   std::int64_t next_tick_ = 0;

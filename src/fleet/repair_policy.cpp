@@ -3,74 +3,6 @@
 #include "src/common/check.hpp"
 
 namespace ftpim::fleet {
-namespace {
-
-class NeverRepairPolicy final : public RepairPolicy {
- public:
-  explicit NeverRepairPolicy(const RepairPolicyConfig&) {}
-  [[nodiscard]] RepairPolicyKind kind() const noexcept override {
-    return RepairPolicyKind::kNeverRepair;
-  }
-  [[nodiscard]] RepairActionKind decide(const DeviceStatus&) const override {
-    return RepairActionKind::kNone;
-  }
-};
-
-class CanaryGatedPolicy final : public RepairPolicy {
- public:
-  explicit CanaryGatedPolicy(const RepairPolicyConfig& config) : config_(config) {}
-  [[nodiscard]] RepairPolicyKind kind() const noexcept override {
-    return RepairPolicyKind::kCanaryGated;
-  }
-  [[nodiscard]] RepairActionKind decide(const DeviceStatus& status) const override {
-    // Evidence gate first: an empty or barely-filled window scores 1.0-ish
-    // on tiny sample counts, so no verdict until min_samples outcomes exist.
-    if (status.window_size < config_.min_samples) return RepairActionKind::kNone;
-    if (status.window_score < config_.repair_below) return RepairActionKind::kRepair;
-    return RepairActionKind::kNone;
-  }
-
- private:
-  RepairPolicyConfig config_;
-};
-
-class ScheduledRefreshPolicy final : public RepairPolicy {
- public:
-  explicit ScheduledRefreshPolicy(const RepairPolicyConfig& config) : config_(config) {}
-  [[nodiscard]] RepairPolicyKind kind() const noexcept override {
-    return RepairPolicyKind::kScheduledRefresh;
-  }
-  [[nodiscard]] RepairActionKind decide(const DeviceStatus& status) const override {
-    // Blind cadence: re-program the die on schedule regardless of health.
-    // Heals transients; persistent (manufacturing + aging) faults come back.
-    if (status.ticks_since_heal >= config_.refresh_every_ticks) return RepairActionKind::kScrub;
-    return RepairActionKind::kNone;
-  }
-
- private:
-  RepairPolicyConfig config_;
-};
-
-class DetectionDrivenScrubPolicy final : public RepairPolicy {
- public:
-  explicit DetectionDrivenScrubPolicy(const RepairPolicyConfig& config) : config_(config) {}
-  [[nodiscard]] RepairPolicyKind kind() const noexcept override {
-    return RepairPolicyKind::kDetectionDrivenScrub;
-  }
-  [[nodiscard]] RepairActionKind decide(const DeviceStatus& status) const override {
-    // A detection streak that survives the scrub budget means scrubbing is
-    // not fixing the cause (persistent faults resurface with the map), so
-    // escalate to a swap — the same ladder maintain() walks in src/serve.
-    if (status.consecutive_detections > config_.max_scrub_retries) return RepairActionKind::kRepair;
-    if (status.abft_flagged) return RepairActionKind::kScrub;
-    return RepairActionKind::kNone;
-  }
-
- private:
-  RepairPolicyConfig config_;
-};
-
-}  // namespace
 
 const char* to_string(RepairActionKind action) noexcept {
   switch (action) {
@@ -114,16 +46,29 @@ void RepairPolicyConfig::validate() const {
               "repair policy: costs (%.2f, %.2f) must be non-negative", repair_cost, scrub_cost);
 }
 
-std::unique_ptr<RepairPolicy> make_repair_policy(RepairPolicyKind kind,
-                                                 const RepairPolicyConfig& config) {
-  config.validate();
+RepairActionKind decide_repair(RepairPolicyKind kind, const RepairPolicyConfig& config,
+                               const DeviceStatus& status) {
   switch (kind) {
-    case RepairPolicyKind::kNeverRepair: return std::make_unique<NeverRepairPolicy>(config);
-    case RepairPolicyKind::kCanaryGated: return std::make_unique<CanaryGatedPolicy>(config);
+    case RepairPolicyKind::kNeverRepair: return RepairActionKind::kNone;
+    case RepairPolicyKind::kCanaryGated:
+      // Evidence gate first: an empty or barely-filled window scores 1.0-ish
+      // on tiny sample counts, so no verdict until min_samples outcomes exist.
+      if (status.window_size < config.min_samples) return RepairActionKind::kNone;
+      return status.window_score < config.repair_below ? RepairActionKind::kRepair
+                                                       : RepairActionKind::kNone;
     case RepairPolicyKind::kScheduledRefresh:
-      return std::make_unique<ScheduledRefreshPolicy>(config);
+      // Blind cadence: re-program the die on schedule regardless of health.
+      // Heals transients; persistent (manufacturing + aging) faults come back.
+      return status.ticks_since_heal >= config.refresh_every_ticks ? RepairActionKind::kScrub
+                                                                   : RepairActionKind::kNone;
     case RepairPolicyKind::kDetectionDrivenScrub:
-      return std::make_unique<DetectionDrivenScrubPolicy>(config);
+      // A detection streak that survives the scrub budget means scrubbing is
+      // not fixing the cause (persistent faults resurface with the map), so
+      // escalate to a swap — the same ladder maintain() walks in src/serve.
+      if (status.consecutive_detections > config.max_scrub_retries) {
+        return RepairActionKind::kRepair;
+      }
+      return status.abft_flagged ? RepairActionKind::kScrub : RepairActionKind::kNone;
   }
   FTPIM_CHECK(false, "unknown repair policy kind %d", static_cast<int>(kind));
 }

@@ -1,10 +1,11 @@
-// Pluggable in-service repair policies for the fleet simulator.
+// In-service repair policies for the fleet simulator.
 //
 // Every simulated tick each live device summarizes its observable state into
 // a DeviceStatus — the probe accuracy it just measured, its sliding-window
 // score, whether ABFT flagged the tick, how long the current detection streak
-// is, and how long since the die was last re-programmed — and asks the
-// policy what to do about it. The answer is one of three actions:
+// is, and how long since the die was last re-programmed — and asks
+// decide_repair what its policy does about it. The answer is one of three
+// actions:
 //
 //   kNone    keep serving;
 //   kScrub   background refresh (ReplicaPool::refresh): re-program the die
@@ -13,10 +14,9 @@
 //   kRepair  swap the device (ReplicaPool::repair): new die, new map, next
 //            seed generation; expensive.
 //
-// Policies are STATELESS deciders shared by every device of a simulator: all
-// evolving inputs arrive through DeviceStatus, which lives in the device —
-// so checkpointing the devices checkpoints the policy, and a policy object
-// is safe to consult from concurrent device workers.
+// decide_repair is a STATELESS decision: all evolving inputs arrive through
+// DeviceStatus, which lives in the device — so checkpointing the devices
+// checkpoints the policy, and concurrent device workers may call it freely.
 //
 // The four built-ins bracket the fleet-maintenance design space the paper's
 // mass-produced-device story implies:
@@ -32,7 +32,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
 namespace ftpim::fleet {
@@ -112,17 +111,11 @@ struct RepairPolicyConfig {
   void validate() const;
 };
 
-class RepairPolicy {
- public:
-  virtual ~RepairPolicy() = default;
-  [[nodiscard]] virtual RepairPolicyKind kind() const noexcept = 0;
-  /// Pure decision: same status -> same action, no internal state. Safe to
-  /// call concurrently from device workers.
-  [[nodiscard]] virtual RepairActionKind decide(const DeviceStatus& status) const = 0;
-};
-
-/// Factory for the built-ins. `config` is validated here.
-[[nodiscard]] std::unique_ptr<RepairPolicy> make_repair_policy(RepairPolicyKind kind,
-                                                               const RepairPolicyConfig& config);
+/// The built-in policy `kind` applied to one device's end-of-tick status.
+/// Pure: same inputs -> same action. `config` must be valid
+/// (RepairPolicyConfig::validate; FleetConfig::validate runs it).
+[[nodiscard]] RepairActionKind decide_repair(RepairPolicyKind kind,
+                                             const RepairPolicyConfig& config,
+                                             const DeviceStatus& status);
 
 }  // namespace ftpim::fleet

@@ -7,6 +7,7 @@
 #include "src/common/checkpoint_error.hpp"
 #include "src/common/rng.hpp"
 #include "src/common/strformat.hpp"
+#include "src/fleet/repair_policy.hpp"
 
 namespace ftpim::fleet {
 namespace {
@@ -52,8 +53,7 @@ VirtualDevice::VirtualDevice(const Module& source, const FleetConfig& config, in
       window_(config.policy_config.window),
       transients_(DefectMap::empty(pool_->defect_map(0).cell_count())) {}
 
-DeviceTick VirtualDevice::step(const RepairPolicy& policy, std::int64_t tick,
-                               const CanarySet& probe) {
+DeviceTick VirtualDevice::step(std::int64_t tick, const CanarySet& probe) {
   DeviceTick out;
   if (!alive()) return out;
   out.was_alive = true;
@@ -130,7 +130,7 @@ DeviceTick VirtualDevice::step(const RepairPolicy& policy, std::int64_t tick,
   status.abft_flagged = flagged;
   status.consecutive_detections = consecutive_detections_;
   status.ticks_since_heal = ticks_since_heal_;
-  switch (policy.decide(status)) {
+  switch (decide_repair(config_->policy, config_->policy_config, status)) {
     case RepairActionKind::kNone: break;
     case RepairActionKind::kScrub:
       do_refresh();

@@ -42,7 +42,6 @@
 #include "src/common/stats.hpp"
 #include "src/core/evaluator.hpp"
 #include "src/fleet/fleet_config.hpp"
-#include "src/fleet/repair_policy.hpp"
 #include "src/reram/aging.hpp"
 #include "src/reram/defect_map.hpp"
 #include "src/serve/replica_pool.hpp"
@@ -72,10 +71,11 @@ class VirtualDevice {
   VirtualDevice& operator=(const VirtualDevice&) = delete;
 
   /// Advances the device through virtual tick `tick` (see file comment).
-  /// `policy` decides the end-of-tick maintenance action; `probe` is the
-  /// fleet-shared canary set. Dead devices return a default DeviceTick.
-  /// Single-owner: one thread drives a given device at a time.
-  DeviceTick step(const RepairPolicy& policy, std::int64_t tick, const CanarySet& probe);
+  /// The fleet's repair policy (decide_repair) picks the end-of-tick
+  /// maintenance action; `probe` is the fleet-shared canary set. Dead
+  /// devices return a default DeviceTick. Single-owner: one thread drives a
+  /// given device at a time.
+  DeviceTick step(std::int64_t tick, const CanarySet& probe);
 
   [[nodiscard]] int index() const noexcept { return index_; }
   [[nodiscard]] const DeviceProfile& profile() const noexcept { return profile_; }

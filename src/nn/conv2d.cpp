@@ -86,15 +86,14 @@ Tensor Conv2d::forward(const Tensor& input, bool training) {
     if (hook != nullptr) {
       // Deployed path: stage the image's patch matrix explicitly and hand
       // each output pixel to the hook as one activation row. Float scratch
-      // slots 1/3 — disjoint from the conv-dX slab (0) and the crossbar
-      // current buffer (2); the quantized engine underneath only touches
-      // the typed integer slots.
+      // slots 1/2 — disjoint from the conv-dX slab (0); the quantized
+      // engine underneath only touches the typed integer slots.
       const std::int64_t col_rows = geom_.col_rows();  // in_c * k * k
       const std::int64_t pixels = oh * ow;
       kernels::PackArena& arena = kernels::PackArena::local();
       float* col = arena.scratch_buffer(1, static_cast<std::size_t>(col_rows * pixels));
       im2col(input.data() + static_cast<std::int64_t>(i) * in_plane, geom_, col);
-      float* patches = arena.scratch_buffer(3, static_cast<std::size_t>(pixels * col_rows));
+      float* patches = arena.scratch_buffer(2, static_cast<std::size_t>(pixels * col_rows));
       for (std::int64_t p = 0; p < pixels; ++p) {
         for (std::int64_t r = 0; r < col_rows; ++r) {
           patches[p * col_rows + r] = col[r * pixels + p];

@@ -1,12 +1,8 @@
 #include "src/reram/crossbar_engine.hpp"
 
-#include "src/common/annotations.hpp"
 #include "src/common/check.hpp"
 
 #include <algorithm>
-
-#include "src/tensor/kernels/gemm_driver.hpp"
-#include "src/tensor/kernels/pack_arena.hpp"
 
 namespace ftpim {
 
@@ -22,100 +18,59 @@ CrossbarEngine::CrossbarEngine(const Tensor& weights, const CrossbarEngineConfig
   row_tiles_ = (in_ + config.tile_rows - 1) / config.tile_rows;
   col_tiles_ = (out_ + outs_per_tile_ - 1) / outs_per_tile_;
 
-  tiles_.reserve(static_cast<std::size_t>(row_tiles_ * col_tiles_));
-  for (std::int64_t rt = 0; rt < row_tiles_; ++rt) {
-    for (std::int64_t ct = 0; ct < col_tiles_; ++ct) {
-      tiles_.emplace_back(config.tile_rows, config.tile_cols, config.range, config.quant_levels);
-    }
-  }
-
-  const DifferentialMapper mapper(config.range, w_max_);
+  const DifferentialMapper mapper(config.range, w_max_);  // validates the range
+  // Unprogrammed cells (partial tiles) rest at g_min.
+  const auto cells = static_cast<std::size_t>(tile_count() * config.tile_rows * config.tile_cols);
+  g_.assign(cells, config.range.g_min);
+  fault_.assign(cells, 0);
   for (std::int64_t o = 0; o < out_; ++o) {
-    const std::int64_t ct = o / outs_per_tile_;
-    const std::int64_t local_o = o % outs_per_tile_;
     for (std::int64_t i = 0; i < in_; ++i) {
-      const std::int64_t rt = i / config.tile_rows;
-      const std::int64_t local_r = i % config.tile_rows;
-      const CellPair cells = mapper.to_cells(weights.at(o, i));
-      CrossbarArray& t = tile(rt, ct);
-      t.program(local_r, 2 * local_o, cells.g_pos);
-      t.program(local_r, 2 * local_o + 1, cells.g_neg);
+      const CellPair pair = mapper.to_cells(weights.at(o, i));
+      const std::size_t c = cell_of(o, i);
+      g_[c] = pair.g_pos;
+      g_[c + 1] = pair.g_neg;
     }
   }
 }
 
-std::int64_t CrossbarEngine::total_cells() const noexcept {
-  std::int64_t n = 0;
-  for (const CrossbarArray& t : tiles_) n += t.cell_count();
-  return n;
+std::size_t CrossbarEngine::cell_of(std::int64_t o, std::int64_t i) const noexcept {
+  const std::int64_t tile = (i / config_.tile_rows) * col_tiles_ + o / outs_per_tile_;
+  const std::int64_t row = i % config_.tile_rows;
+  const std::int64_t col = 2 * (o % outs_per_tile_);
+  return static_cast<std::size_t>((tile * config_.tile_rows + row) * config_.tile_cols + col);
+}
+
+float CrossbarEngine::effective(std::size_t cell) const noexcept {
+  const std::uint8_t f = fault_[cell];
+  if (f == 0) return g_[cell];
+  return f == static_cast<std::uint8_t>(FaultType::kStuckOff) ? config_.range.g_min
+                                                              : config_.range.g_max;
 }
 
 std::int64_t CrossbarEngine::stuck_cells() const noexcept {
-  std::int64_t n = 0;
-  for (const CrossbarArray& t : tiles_) n += t.stuck_count();
-  return n;
+  return static_cast<std::int64_t>(
+      std::count_if(fault_.begin(), fault_.end(), [](std::uint8_t f) { return f != 0; }));
 }
 
-void CrossbarEngine::apply_device_defects(const StuckAtFaultModel& model,
-                                          std::uint64_t master_seed,
-                                          std::uint64_t device_index) {
-  Rng rng(derive_seed(master_seed, device_index + 0xcba));
-  for (CrossbarArray& t : tiles_) {
-    t.apply_defects(DefectMap::sample(t.cell_count(), model, rng));
+void CrossbarEngine::apply_defect_map(const DefectMap& map) {
+  FTPIM_CHECK_EQ(map.cell_count(), 2 * out_ * in_,
+                 "CrossbarEngine::apply_defect_map: cell count mismatch");
+  for (const CellFault& f : map.faults()) {
+    const std::int64_t w = f.cell_index / 2;  // flat weight index o * in + i
+    fault_[cell_of(w / in_, w % in_) + static_cast<std::size_t>(f.cell_index % 2)] =
+        static_cast<std::uint8_t>(f.type);
   }
 }
 
-void CrossbarEngine::clear_defects() {
-  for (CrossbarArray& t : tiles_) t.clear_defects();
-}
-
-FTPIM_HOT void CrossbarEngine::mvm(const float* x, float* y) const { mvm_batch(x, 1, y); }
-
-FTPIM_HOT void CrossbarEngine::mvm_batch(const float* x, std::int64_t batch, float* y) const {
-  FTPIM_CHECK_GE(batch, 0);
-  if (batch == 0) return;
-  std::fill(y, y + batch * out_, 0.0f);
-  const std::int64_t tc = config_.tile_cols;
-  const float g_to_w = w_max_ / config_.range.span();
-  // Column currents live in arena scratch (slot 2 — disjoint from the conv
-  // dX slab in slot 0), so steady-state serving allocates nothing here.
-  kernels::PackArena& arena = kernels::PackArena::local();
-  float* currents = arena.scratch_buffer(2, static_cast<std::size_t>(batch * tc));
-
-  for (std::int64_t rt = 0; rt < row_tiles_; ++rt) {
-    const std::int64_t base = rt * config_.tile_rows;
-    const std::int64_t valid = std::min(config_.tile_rows, in_ - base);
-    for (std::int64_t ct = 0; ct < col_tiles_; ++ct) {
-      // currents[batch, tile_cols] = X[:, base:base+valid] * G[0:valid, :].
-      // Rows past `valid` carry zero drive in the analog model, so k = valid.
-      const kernels::PackASource a{x + base, in_, kernels::PackASource::Layout::kRowMajor};
-      const kernels::PackBSource b{tile(rt, ct).conductance_data(), tc, nullptr,
-                                   kernels::PackBSource::Layout::kRowMajor};
-      kernels::gemm_packed(batch, tc, valid, 1.0f, a, b, 0.0f, currents, tc);
-      const std::int64_t out_base = ct * outs_per_tile_;
-      const std::int64_t out_count = std::min(outs_per_tile_, out_ - out_base);
-      for (std::int64_t bi = 0; bi < batch; ++bi) {
-        const float* cur = currents + bi * tc;
-        float* yrow = y + bi * out_;
-        for (std::int64_t o = 0; o < out_count; ++o) {
-          yrow[out_base + o] += (cur[2 * o] - cur[2 * o + 1]) * g_to_w;
-        }
-      }
-    }
-  }
-}
+void CrossbarEngine::clear_defects() { std::fill(fault_.begin(), fault_.end(), std::uint8_t{0}); }
 
 Tensor CrossbarEngine::read_back() const {
   Tensor w(Shape{out_, in_});
   const float g_to_w = w_max_ / config_.range.span();
   for (std::int64_t o = 0; o < out_; ++o) {
-    const std::int64_t ct = o / outs_per_tile_;
-    const std::int64_t local_o = o % outs_per_tile_;
     for (std::int64_t i = 0; i < in_; ++i) {
-      const std::int64_t rt = i / config_.tile_rows;
-      const std::int64_t local_r = i % config_.tile_rows;
-      const CrossbarArray& t = tile(rt, ct);
-      w.at(o, i) = (t.read(local_r, 2 * local_o) - t.read(local_r, 2 * local_o + 1)) * g_to_w;
+      const std::size_t c = cell_of(o, i);
+      w.at(o, i) = (effective(c) - effective(c + 1)) * g_to_w;
     }
   }
   return w;

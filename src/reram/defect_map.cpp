@@ -31,12 +31,6 @@ DefectMap DefectMap::sample(std::int64_t cell_count, const StuckAtFaultModel& mo
   return map;
 }
 
-DefectMap DefectMap::sample_for_device(std::int64_t cell_count, const StuckAtFaultModel& model,
-                                       std::uint64_t master_seed, std::uint64_t device_index) {
-  Rng rng(derive_seed(master_seed, device_index + 0xdef));
-  return sample(cell_count, model, rng);
-}
-
 DefectMap DefectMap::empty(std::int64_t cell_count) {
   FTPIM_CHECK_GE(cell_count, std::int64_t{0}, "DefectMap::empty: cell_count");
   DefectMap map;

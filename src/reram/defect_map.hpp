@@ -35,10 +35,6 @@ class DefectMap {
   /// Samples a defect map for `cell_count` cells under `model`, using `rng`.
   static DefectMap sample(std::int64_t cell_count, const StuckAtFaultModel& model, Rng& rng);
 
-  /// Convenience: per-device stream — device_index selects the sub-seed.
-  static DefectMap sample_for_device(std::int64_t cell_count, const StuckAtFaultModel& model,
-                                     std::uint64_t master_seed, std::uint64_t device_index);
-
   /// A fault-free map over `cell_count` cells (the starting point of a
   /// pristine device that will age in service).
   static DefectMap empty(std::int64_t cell_count);

@@ -3,8 +3,11 @@
 // For every weight, its differential cell pair is materialized, each cell is
 // independently subjected to the SAF model, and the (possibly faulted) pair
 // is read back into weight space. This is exactly what the cell-level
-// CrossbarEngine computes, collapsed to a fast per-weight path (the
-// equivalence is covered by tests/crossbar_engine_test.cpp).
+// CrossbarEngine oracle reads back, collapsed to a fast per-weight path. For
+// one DefectMap, apply_defect_map_to_model matches CrossbarEngine::read_back
+// at quant_levels = 0 and QuantizedCrossbarEngine::read_back bit for bit at
+// quant_levels = L (the seeded three-way test in
+// tests/crossbar_engine_test.cpp).
 //
 // The primitive is apply_faults_to_copy: a PURE function from a clean weight
 // tensor to a faulted copy + hit mask that never touches the source. The

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "src/common/annotations.hpp"
 #include "src/common/check.hpp"
@@ -75,9 +76,9 @@ QuantizedCrossbarEngine::QuantizedCrossbarEngine(const Tensor& weights,
   if (check_cols_ > 0) abft_.reset(row_tiles_, col_tiles_);
 
   // Program: weight -> differential conductance pair -> nearest level index.
-  // level_index(to_cells(w)) is exactly the value CrossbarArray::program
-  // stores when quant_levels == levels, so the two engines hold the same
-  // discretized device state.
+  // level_index(to_cells(w)) is exactly the level the weight-space injector
+  // snaps to at quant_levels == levels, so both hold the same discretized
+  // device state.
   const DifferentialMapper mapper(config_.range, w_max_);
   const ConductanceQuantizer quantizer(config_.range, config_.levels);
   for (std::int64_t o = 0; o < out_; ++o) {
@@ -296,10 +297,10 @@ std::int64_t QuantizedCrossbarEngine::stuck_cells() const noexcept {
 void QuantizedCrossbarEngine::apply_device_defects(const StuckAtFaultModel& model,
                                                    std::uint64_t master_seed,
                                                    std::uint64_t device_index) {
-  // Identical stream to CrossbarEngine::apply_device_defects: one sample per
-  // tile in row-major tile order from the derived device seed. Checksum
-  // cells draw from a SEPARATE derived stream (distinct salt) so enabling
-  // ABFT leaves the data-cell fault pattern of a given die byte-identical.
+  // One sample per tile in row-major tile order from the derived device
+  // seed. Checksum cells draw from a SEPARATE derived stream (distinct salt)
+  // so enabling ABFT leaves the data-cell fault pattern of a given die
+  // byte-identical.
   Rng rng(derive_seed(master_seed, device_index + 0xcba));
   Rng rng_chk(derive_seed(master_seed, device_index + 0xabf7));
   for (std::int64_t rt = 0; rt < row_tiles_; ++rt) {
@@ -348,6 +349,24 @@ void QuantizedCrossbarEngine::apply_defect_map(const DefectMap& map) {
       }
     }
   }
+}
+
+DefectMap QuantizedCrossbarEngine::defect_map() const {
+  // Inverse of apply_defect_map; walking (o, i, polarity) in order yields
+  // the sorted model-cell indices from_faults requires.
+  std::vector<CellFault> faults;
+  for (std::int64_t o = 0; o < out_; ++o) {
+    for (std::int64_t i = 0; i < in_; ++i) {
+      const Tile& t = tile(i / config_.tile_rows, o / outs_per_tile_);
+      const std::int64_t cell =
+          (i % config_.tile_rows) * config_.tile_cols + 2 * (o % outs_per_tile_);
+      for (std::int64_t pol = 0; pol < 2; ++pol) {
+        const std::uint8_t f = t.fault[static_cast<std::size_t>(cell + pol)];
+        if (f != 0) faults.push_back(CellFault{2 * (o * in_ + i) + pol, static_cast<FaultType>(f)});
+      }
+    }
+  }
+  return DefectMap::from_faults(2 * out_ * in_, std::move(faults));
 }
 
 void QuantizedCrossbarEngine::clear_defects() {

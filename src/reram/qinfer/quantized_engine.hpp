@@ -1,8 +1,8 @@
 // Quantized crossbar inference engine: int8 conductance-domain compute with
 // faults applied where the hardware sees them.
 //
-// CrossbarEngine (src/reram/crossbar_engine.hpp) simulates the analog limit:
-// float conductances, float GEMM, ideal peripherals. This engine simulates
+// CrossbarEngine (src/reram/crossbar_engine.hpp) is the analog-limit
+// read-back oracle: float conductances, no compute. This engine simulates
 // the digital reality of a multi-level-cell deployment:
 //
 //   * each weight is SNAPPED to one of L conductance levels and stored as a
@@ -10,8 +10,8 @@
 //     step = span / (L - 1)), so the stored matrix is exactly what a
 //     programming loop could write into an L-level device;
 //   * stuck-at faults act in the LEVEL domain — stuck-off pins a cell at
-//     level 0 (g_min), stuck-on at level L-1 (g_max) — and stuck cells
-//     ignore the programmed value, mirroring CrossbarArray::program;
+//     level 0 (g_min), stuck-on at level L-1 (g_max) — in a separate fault
+//     byte, so the programmed level survives and clear_defects restores it;
 //   * the MVM is integer end to end: activations are quantized per batch to
 //     int8 codes (symmetric scale sx = absmax / 127), each tile computes
 //     int8 x u8 -> int32 column sums through the qgemm kernel backend
@@ -32,9 +32,10 @@
 // Tiling matches CrossbarEngine: weight (o, i) lives in tile
 // (rt = i / tile_rows, ct = o / (tile_cols / 2)) at local row i % tile_rows,
 // physical columns 2*local_o and 2*local_o + 1. apply_device_defects draws
-// the SAME per-tile defect stream as CrossbarEngine::apply_device_defects,
-// so a given (master_seed, device_index) names the same physical die in
-// both simulations.
+// one defect map per tile from the derived device seed, so a given
+// (master_seed, device_index) names one physical die.
+// read_back() equals the weight-space injector at quant_levels == levels
+// exactly for the same DefectMap (tests/crossbar_engine_test.cpp).
 //
 // Mutation (apply_* / clear_defects) is single-owner: do not mutate
 // concurrently with mvm calls. mvm itself is internally parallel and safe to
@@ -85,10 +86,9 @@ class QuantizedCrossbarEngine {
   [[nodiscard]] std::int64_t total_cells() const noexcept;
   [[nodiscard]] std::int64_t stuck_cells() const noexcept;
 
-  /// Draws an independent defect map per tile from the device seed and
-  /// applies it in the level domain. Uses the same RNG stream as
-  /// CrossbarEngine::apply_device_defects — (master_seed, device_index)
-  /// identifies the same die in both engines.
+  /// Draws an independent defect map per tile (row-major tile order) from
+  /// the device seed and applies it in the level domain — (master_seed,
+  /// device_index) identifies one die.
   void apply_device_defects(const StuckAtFaultModel& model, std::uint64_t master_seed,
                             std::uint64_t device_index);
 
@@ -100,6 +100,12 @@ class QuantizedCrossbarEngine {
   /// fault state, cells absent keep theirs (what in-service aging needs);
   /// clear_defects() is the only reset.
   void apply_defect_map(const DefectMap& map);
+
+  /// The die's data-cell faults as a weight-indexed map in apply_defect_map's
+  /// convention, so a die drawn by apply_device_defects can drive the float
+  /// oracle or be replayed. Faults on padding cells outside W and on checksum
+  /// cells have no model cell and are left out.
+  [[nodiscard]] DefectMap defect_map() const;
 
   /// Restores a defect-free die (programmed levels stay).
   void clear_defects();

@@ -94,15 +94,6 @@ void HealthMonitor::mark_repaired(int replica_id) {
   ++r.repairs;
 }
 
-void HealthMonitor::record_detection(int replica_id, std::int64_t flagged_tiles) {
-  FTPIM_CHECK_GE(flagged_tiles, std::int64_t{0}, "HealthMonitor::record_detection");
-  MutexLock lock(mu_);
-  ReplicaRecord& r = at(replica_id);
-  ++r.detections;
-  r.flagged_tiles += flagged_tiles;
-  if (config_.detection_fails_window) r.window.record(false);
-}
-
 void HealthMonitor::force_quarantine(int replica_id) {
   MutexLock lock(mu_);
   at(replica_id).forced_quarantine = true;
@@ -119,8 +110,6 @@ std::vector<HealthMonitor::Snapshot> HealthMonitor::snapshot() const {
     s.repairs = r.repairs;
     s.window_size = r.window.size();
     s.window_capacity = config_.window;
-    s.detections = r.detections;
-    s.flagged_tiles = r.flagged_tiles;
     s.forced = r.forced_quarantine;
     out.push_back(s);
   }

@@ -61,10 +61,6 @@ struct HealthConfig {
   /// known-answer probe set through its replica (0 = canaries off).
   std::int64_t canary_every_batches = 0;
   int canary_samples = 4;          ///< probe inputs per canary batch
-  /// Canary pass criterion: >= 0 compares logits within this absolute error;
-  /// < 0 (default) compares argmax predictions only.
-  float canary_max_abs_err = -1.0f;
-  std::uint64_t canary_seed = 1234;
   /// Quarantined replicas are repaired in place (re-cloned from the pristine
   /// source with a fresh defect map) by their worker.
   bool repair_on_quarantine = true;
@@ -76,8 +72,8 @@ struct HealthConfig {
   /// path.
   int max_scrub_retries = 3;
   /// Each ABFT-detected batch also records one failure outcome into the
-  /// replica's window, so detections depress the health score like any other
-  /// failure signal.
+  /// replica's window (the server records it), so detections depress the
+  /// health score like any other failure signal.
   bool detection_fails_window = true;
   /// Scrub scheduling (see ScrubPolicy). kPeriodic requires a cadence.
   ScrubPolicy scrub_policy = ScrubPolicy::kDetectionDriven;
@@ -109,10 +105,6 @@ class HealthMonitor {
   /// quarantine).
   void mark_repaired(int replica_id);
 
-  /// Records one ABFT-detected batch: bumps the replica's detection counters
-  /// and (when config.detection_fails_window) records one failure outcome.
-  void record_detection(int replica_id, std::int64_t flagged_tiles);
-
   /// Pins the replica to kQuarantined regardless of its window score — the
   /// escalation path when scrub retries are exhausted. Sticky until
   /// mark_repaired.
@@ -124,9 +116,7 @@ class HealthMonitor {
     int repairs = 0;
     int window_size = 0;      ///< outcomes currently in the window
     int window_capacity = 0;  ///< the window's configured capacity
-    std::int64_t detections = 0;     ///< ABFT-detected batches
-    std::int64_t flagged_tiles = 0;  ///< tiles named across those detections
-    bool forced = false;             ///< quarantine pinned by force_quarantine
+    bool forced = false;      ///< quarantine pinned by force_quarantine
   };
   /// Consistent point-in-time view of every replica (one lock acquisition).
   [[nodiscard]] std::vector<Snapshot> snapshot() const;
@@ -140,8 +130,6 @@ class HealthMonitor {
   struct ReplicaRecord {
     OutcomeWindow window;
     int repairs = 0;
-    std::int64_t detections = 0;
-    std::int64_t flagged_tiles = 0;
     bool forced_quarantine = false;
     explicit ReplicaRecord(int capacity) : window(capacity) {}
   };

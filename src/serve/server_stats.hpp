@@ -1,12 +1,11 @@
 // Point-in-time serving metrics snapshot.
 //
-// InferenceServer::stats() fills one of these under the server's stats mutex
-// and hands it out by value, so readers never hold a lock into the hot path.
-// The latency histogram is the merge (in replica-id order — exact and
-// associative, see LatencyHistogram) of the per-worker histograms, which are
-// only ever written by their owning worker thread. Everything here is
-// integer-or-derived, so deterministic serving mode reproduces the whole
-// snapshot bit-identically.
+// InferenceServer keeps one of these under its stats mutex and increments
+// its counters, per-replica tallies and latency histogram in place; stats()
+// copies it, adds the queue depth and the HealthMonitor gauges, and hands it
+// out by value, so readers never hold a lock into the hot path. Everything
+// here is integer-or-derived, so deterministic serving mode reproduces the
+// whole snapshot bit-identically.
 #pragma once
 
 #include <cstdint>

@@ -7,10 +7,11 @@
 //
 // Slots:
 //   a_buffer / b_buffer   packed A / B panels inside gemm_packed
-//   scratch_buffer(slot)  caller-side staging (conv dX column panels,
-//                         crossbar input slices / column currents). Distinct
-//                         slots never alias; gemm_packed only touches a/b,
-//                         so scratch contents survive a nested gemm call.
+//   scratch_buffer(slot)  caller-side staging (conv dX column panels, the
+//                         hooked conv forward's patch and output matrices).
+//                         Distinct slots never alias; gemm_packed only
+//                         touches a/b, so scratch contents survive a nested
+//                         gemm call.
 //   byte/i32/i64_buffer   integer staging for the quantized crossbar path
 //                         (int8 activation codes, per-tile i32 column
 //                         accumulators, i64 differential totals). Typed slots
@@ -29,7 +30,7 @@ namespace ftpim::kernels {
 
 class PackArena {
  public:
-  static constexpr int kScratchSlots = 4;
+  static constexpr int kScratchSlots = 3;
   static constexpr int kIntSlots = 2;
 
   /// The calling thread's arena (thread_local singleton).

@@ -1,7 +1,8 @@
 // Online fault detection in the serve layer: ABFT detections feeding the
-// HealthMonitor, detection-triggered tile scrubs, and the escalation path
-// from exhausted scrub retries to forced quarantine and repair. Suite names
-// start with Abft*/Scrub* so scripts/ci.sh's TSan leg picks them up.
+// replica's health window, detection-triggered tile scrubs, and the
+// escalation path from exhausted scrub retries to forced quarantine and
+// repair. Suite names start with Abft*/Scrub* so scripts/ci.sh's TSan leg
+// picks them up.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -54,7 +55,7 @@ ServerConfig abft_server_config(ManualServeClock& clock) {
   return cfg;
 }
 
-// --- HealthMonitor detection plumbing ----------------------------------------
+// --- Detections in the health window --------------------------------------
 
 HealthConfig tight_health() {
   HealthConfig h;
@@ -65,32 +66,58 @@ HealthConfig tight_health() {
   return h;
 }
 
+constexpr int kWindowRequests = 12;
+
+/// Serves kWindowRequests single-request batches while aging-grown faults
+/// ring the checksums. Canaries, escalation and repair stay out of the way,
+/// so the window holds one success per batch plus whatever the server
+/// records for the detections.
+ServerStats run_detection_window_once(bool detection_fails_window) {
+  const auto model = make_model();
+  ManualServeClock clock(1'000'000);
+  ServerConfig cfg = abft_server_config(clock);
+  cfg.aging.p_new_per_interval = 0.2;
+  cfg.aging.interval_batches = 1;
+  cfg.aging.seed = 404;
+  cfg.health = tight_health();
+  cfg.health.window = 64;
+  cfg.health.max_scrub_retries = 1000;
+  cfg.health.repair_on_quarantine = false;
+  cfg.health.detection_fails_window = detection_fails_window;
+  InferenceServer server(*model, cfg);
+  std::vector<std::future<InferenceResult>> futures;
+  for (int i = 0; i < kWindowRequests; ++i) {
+    futures.push_back(server.submit(make_input(800 + static_cast<std::uint64_t>(i))));
+  }
+  server.start();
+  server.drain();
+  server.stop();
+  for (auto& f : futures) (void)f.get();
+  return server.stats();
+}
+
 TEST(AbftHealthMonitor, DetectionsDepressTheWindowAndAreCounted) {
-  HealthMonitor mon(1, tight_health());
-  ASSERT_TRUE(mon.config().detection_fails_window);
-  for (int i = 0; i < 4; ++i) mon.record_detection(0, 2);
-  // Four detections == four failure outcomes: past min_samples, score 0.
-  EXPECT_EQ(mon.state(0), ReplicaHealth::kQuarantined);
-  const auto snap = mon.snapshot();
-  ASSERT_EQ(snap.size(), std::size_t{1});
-  EXPECT_EQ(snap[0].detections, 4);
-  EXPECT_EQ(snap[0].flagged_tiles, 8);
-  EXPECT_EQ(snap[0].window_size, 4);
-  EXPECT_FALSE(snap[0].forced);
+  ASSERT_TRUE(HealthConfig{}.detection_fails_window);
+  const ServerStats stats = run_detection_window_once(/*detection_fails_window=*/true);
+  ASSERT_EQ(stats.batches, kWindowRequests);
+  ASSERT_GT(stats.abft_detections, 0);
+  EXPECT_GE(stats.abft_flagged_tiles, stats.abft_detections);
+  // Each detected batch adds one failure outcome next to its success.
+  EXPECT_EQ(stats.per_replica_window_size[0], kWindowRequests + stats.abft_detections);
+  EXPECT_DOUBLE_EQ(stats.per_replica_health[0],
+                   static_cast<double>(kWindowRequests) /
+                       static_cast<double>(kWindowRequests + stats.abft_detections));
 }
 
 TEST(AbftHealthMonitor, WindowCouplingCanBeDisabled) {
-  HealthConfig h = tight_health();
-  h.detection_fails_window = false;
-  HealthMonitor mon(1, h);
-  for (int i = 0; i < 8; ++i) mon.record_detection(0, 1);
+  const ServerStats stats = run_detection_window_once(/*detection_fails_window=*/false);
   // Detections are tallied but the score never moves — escalation is then
   // the only path from detections to quarantine.
-  EXPECT_EQ(mon.state(0), ReplicaHealth::kHealthy);
-  const auto snap = mon.snapshot();
-  EXPECT_EQ(snap[0].detections, 8);
-  EXPECT_EQ(snap[0].window_size, 0);
-  EXPECT_DOUBLE_EQ(snap[0].score, 1.0);
+  ASSERT_GT(stats.abft_detections, 0);
+  EXPECT_EQ(stats.per_replica_window_size[0], kWindowRequests);
+  EXPECT_DOUBLE_EQ(stats.per_replica_health[0], 1.0);
+  EXPECT_EQ(stats.per_replica_state[0], ReplicaHealth::kHealthy);
+  EXPECT_EQ(stats.quarantines, 0);
 }
 
 TEST(AbftHealthMonitor, ForcedQuarantineIsStickyUntilRepair) {

@@ -100,15 +100,20 @@ TEST(DefectMap, TypeSplitMatchesPaperRatio) {
 }
 
 TEST(DefectMap, PerDeviceDeterminism) {
+  // A device's map is a pure function of derive_seed(master_seed, device).
   const StuckAtFaultModel model(0.01);
-  const DefectMap a = DefectMap::sample_for_device(10000, model, 42, 3);
-  const DefectMap b = DefectMap::sample_for_device(10000, model, 42, 3);
+  const auto sample_device = [&](std::uint64_t device) {
+    Rng rng(derive_seed(42, device));
+    return DefectMap::sample(10000, model, rng);
+  };
+  const DefectMap a = sample_device(3);
+  const DefectMap b = sample_device(3);
   ASSERT_EQ(a.fault_count(), b.fault_count());
   for (std::size_t i = 0; i < a.faults().size(); ++i) {
     EXPECT_EQ(a.faults()[i].cell_index, b.faults()[i].cell_index);
     EXPECT_EQ(a.faults()[i].type, b.faults()[i].type);
   }
-  const DefectMap c = DefectMap::sample_for_device(10000, model, 42, 4);
+  const DefectMap c = sample_device(4);
   bool differs = a.fault_count() != c.fault_count();
   for (std::size_t i = 0; !differs && i < std::min(a.faults().size(), c.faults().size()); ++i) {
     differs = a.faults()[i].cell_index != c.faults()[i].cell_index;

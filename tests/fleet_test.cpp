@@ -55,17 +55,19 @@ std::vector<std::uint8_t> timeline_bytes(const FleetSimulator& sim) {
   return out.take();
 }
 
-// --- RepairPolicy ------------------------------------------------------------
+// --- Repair policy -----------------------------------------------------------
 
 TEST(FleetPolicy, NamesRoundTripAndGarbageIsRejected) {
   for (RepairPolicyKind kind : kAllRepairPolicies) {
     EXPECT_EQ(parse_repair_policy(to_string(kind)), kind);
-    EXPECT_EQ(make_repair_policy(kind, RepairPolicyConfig{})->kind(), kind);
   }
   EXPECT_THROW((void)parse_repair_policy("weekly_reboot"), ContractViolation);
   RepairPolicyConfig bad;
   bad.repair_below = 1.5;
-  EXPECT_THROW((void)make_repair_policy(RepairPolicyKind::kCanaryGated, bad), ContractViolation);
+  EXPECT_THROW(bad.validate(), ContractViolation);
+  FleetConfig cfg = small_fleet(RepairPolicyKind::kCanaryGated);
+  cfg.policy_config = bad;
+  EXPECT_THROW(cfg.validate(), ContractViolation);
 }
 
 TEST(FleetPolicy, DecisionsFollowTheStatusSurface) {
@@ -85,28 +87,28 @@ TEST(FleetPolicy, DecisionsFollowTheStatusSurface) {
   DeviceStatus fresh_failing = failing;
   fresh_failing.window_size = 3;  // below the evidence gate
 
-  const auto never = make_repair_policy(RepairPolicyKind::kNeverRepair, cfg);
-  EXPECT_EQ(never->decide(failing), RepairActionKind::kNone);
+  const auto decide = [&](RepairPolicyKind kind, const DeviceStatus& status) {
+    return decide_repair(kind, cfg, status);
+  };
+  EXPECT_EQ(decide(RepairPolicyKind::kNeverRepair, failing), RepairActionKind::kNone);
 
-  const auto gated = make_repair_policy(RepairPolicyKind::kCanaryGated, cfg);
-  EXPECT_EQ(gated->decide(healthy), RepairActionKind::kNone);
-  EXPECT_EQ(gated->decide(failing), RepairActionKind::kRepair);
-  EXPECT_EQ(gated->decide(fresh_failing), RepairActionKind::kNone) << "min_samples gate";
+  EXPECT_EQ(decide(RepairPolicyKind::kCanaryGated, healthy), RepairActionKind::kNone);
+  EXPECT_EQ(decide(RepairPolicyKind::kCanaryGated, failing), RepairActionKind::kRepair);
+  EXPECT_EQ(decide(RepairPolicyKind::kCanaryGated, fresh_failing), RepairActionKind::kNone)
+      << "min_samples gate";
 
-  const auto scheduled = make_repair_policy(RepairPolicyKind::kScheduledRefresh, cfg);
   DeviceStatus due = healthy;
   due.ticks_since_heal = 3;
-  EXPECT_EQ(scheduled->decide(healthy), RepairActionKind::kNone);
-  EXPECT_EQ(scheduled->decide(due), RepairActionKind::kScrub);
+  EXPECT_EQ(decide(RepairPolicyKind::kScheduledRefresh, healthy), RepairActionKind::kNone);
+  EXPECT_EQ(decide(RepairPolicyKind::kScheduledRefresh, due), RepairActionKind::kScrub);
 
-  const auto driven = make_repair_policy(RepairPolicyKind::kDetectionDrivenScrub, cfg);
   DeviceStatus flagged = healthy;
   flagged.abft_flagged = true;
   flagged.consecutive_detections = 1;
-  EXPECT_EQ(driven->decide(healthy), RepairActionKind::kNone);
-  EXPECT_EQ(driven->decide(flagged), RepairActionKind::kScrub);
+  EXPECT_EQ(decide(RepairPolicyKind::kDetectionDrivenScrub, healthy), RepairActionKind::kNone);
+  EXPECT_EQ(decide(RepairPolicyKind::kDetectionDrivenScrub, flagged), RepairActionKind::kScrub);
   flagged.consecutive_detections = 3;  // outlived max_scrub_retries = 2
-  EXPECT_EQ(driven->decide(flagged), RepairActionKind::kRepair);
+  EXPECT_EQ(decide(RepairPolicyKind::kDetectionDrivenScrub, flagged), RepairActionKind::kRepair);
 }
 
 // --- Profiles ----------------------------------------------------------------

@@ -5,10 +5,14 @@
 //     clipping transfer of adc_digitize;
 //   * QuantQuantizer — level_index/level_value round-trip property incl. the
 //     exact midpoint tie-break (step chosen representable in float);
-//   * QuantEngine  — mvm vs the float CrossbarEngine in the high-level /
-//     ideal-ADC limit, level-domain fault semantics via read_back, parity of
-//     the device defect stream with CrossbarEngine, and the determinism
-//     contract (bit-identical across FTPIM_THREADS AND kernel levels).
+//   * QuantEngine  — fault-free read_back vs the float CrossbarEngine's
+//     cells snapped to the same levels, mvm vs x * read_back()^T of the
+//     float engine in the high-level / ideal-ADC limit, level-domain fault
+//     semantics via read_back, per-device determinism of the defect stream
+//     and its die on the float engine, and the determinism contract
+//     (bit-identical across FTPIM_THREADS AND kernel levels). The faulted
+//     read-back agreement with the float oracle and the weight-space
+//     injector on shared maps lives in tests/crossbar_engine_test.cpp.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -17,6 +21,7 @@
 
 #include "src/common/parallel.hpp"
 #include "src/common/rng.hpp"
+#include "src/reram/conductance.hpp"
 #include "src/reram/crossbar_engine.hpp"
 #include "src/reram/defect_map.hpp"
 #include "src/reram/qinfer/adc.hpp"
@@ -262,6 +267,26 @@ QuantizedEngineConfig small_config(int levels = 16, int adc_bits = 0) {
   return config;
 }
 
+/// y[batch, out] = x[batch, in] * W_eff^T with W_eff the float oracle's
+/// read_back() — the analog-limit reference for the quantized mvm.
+std::vector<float> float_oracle_mvm(const Tensor& w, std::int64_t tile_rows,
+                                    std::int64_t tile_cols, const Tensor& x) {
+  CrossbarEngineConfig fc;
+  fc.tile_rows = tile_rows;
+  fc.tile_cols = tile_cols;
+  const Tensor w_eff = CrossbarEngine(w, fc).read_back();
+  const std::int64_t batch = x.dim(0), out = w.dim(0), in = w.dim(1);
+  std::vector<float> y(static_cast<std::size_t>(batch * out), 0.0f);
+  for (std::int64_t b = 0; b < batch; ++b) {
+    for (std::int64_t o = 0; o < out; ++o) {
+      double acc = 0.0;
+      for (std::int64_t i = 0; i < in; ++i) acc += double{x.at(b, i)} * w_eff.at(o, i);
+      y[static_cast<std::size_t>(b * out + o)] = static_cast<float>(acc);
+    }
+  }
+  return y;
+}
+
 TEST(QuantEngine, ConfigValidation) {
   QuantizedEngineConfig config;
   config.tile_rows = 7;  // odd wordline count breaks the k-pair contract
@@ -279,43 +304,40 @@ TEST(QuantEngine, ConfigValidation) {
 }
 
 TEST(QuantEngine, ReadBackMatchesFloatEngineAtSameLevels) {
-  // Both engines snap to the same L-level grid, so their fault-free
-  // read_back matrices must agree to float round-off.
+  // The float engine reads back analog cells; snapping each of its
+  // differential cells to the same L-level grid must reproduce the quantized
+  // engine's fault-free read_back to float round-off.
   const Tensor w = random_tensor(Shape{10, 13}, 21);
-  QuantizedEngineConfig qc = small_config(/*levels=*/16);
+  const QuantizedCrossbarEngine qe(w, small_config(/*levels=*/16));
   CrossbarEngineConfig fc;
   fc.tile_rows = 8;
   fc.tile_cols = 8;
-  fc.quant_levels = 16;
-  const QuantizedCrossbarEngine qe(w, qc);
   const CrossbarEngine fe(w, fc);
+  const DifferentialMapper mapper(fc.range, qe.w_max());
+  const ConductanceQuantizer quant(fc.range, 16);
   const Tensor qw = qe.read_back();
   const Tensor fw = fe.read_back();
   ASSERT_EQ(qw.numel(), fw.numel());
   for (std::int64_t i = 0; i < qw.numel(); ++i) {
-    ASSERT_NEAR(qw[i], fw[i], 1e-5f) << "i=" << i;
+    const CellPair cells = mapper.to_cells(fw[i]);
+    const float snapped =
+        mapper.to_weight(CellPair{quant.quantize(cells.g_pos), quant.quantize(cells.g_neg)});
+    ASSERT_NEAR(qw[i], snapped, 1e-5f) << "i=" << i;
   }
 }
 
 TEST(QuantEngine, MvmApproachesFloatEngineAtHighLevelsIdealAdc) {
-  // 256 levels + ideal ADC leaves only activation int8 noise between the
-  // quantized datapath and the float crossbar; on O(1) inputs that is a
-  // ~1/127 relative error per term.
+  // 256 levels + ideal ADC leave activation int8 noise (~1/127 relative per
+  // term on O(1) inputs) and at most half a level step per weight between
+  // the quantized datapath and the analog read-back.
   const Tensor w = random_tensor(Shape{24, 40}, 31, 0.5f);
-  QuantizedEngineConfig qc = small_config(/*levels=*/256);
-  CrossbarEngineConfig fc;
-  fc.tile_rows = 8;
-  fc.tile_cols = 8;
-  fc.quant_levels = 256;
-  const QuantizedCrossbarEngine qe(w, qc);
-  const CrossbarEngine fe(w, fc);
+  const QuantizedCrossbarEngine qe(w, small_config(/*levels=*/256));
 
   const std::int64_t batch = 5;
   const Tensor x = random_tensor(Shape{batch, 40}, 17);
   std::vector<float> yq(static_cast<std::size_t>(batch * 24));
-  std::vector<float> yf(static_cast<std::size_t>(batch * 24));
   qe.mvm_batch(x.data(), batch, yq.data());
-  fe.mvm_batch(x.data(), batch, yf.data());
+  const std::vector<float> yf = float_oracle_mvm(w, 8, 8, x);
   for (std::size_t i = 0; i < yq.size(); ++i) {
     ASSERT_NEAR(yq[i], yf[i], 0.08f) << "i=" << i;
   }
@@ -328,7 +350,7 @@ TEST(QuantEngine, PartialRowTilesAgreeAcrossTilingsAndPanels) {
   // meets MULTIPLE column panels (tile_cols > 2 * kQNR): every panel after
   // the first was read at the wrong stride. Same weights through different
   // tilings must produce bit-identical outputs (all-integer datapath), and
-  // both must approximate the float engine at 256 levels + ideal ADC.
+  // both must approximate the float read-back at 256 levels + ideal ADC.
   for (const std::int64_t in : {std::int64_t{12}, std::int64_t{13}}) {  // even + odd valid tail
     const Tensor w = random_tensor(Shape{30, in}, 77, 0.5f);
     QuantizedEngineConfig partial;  // rt=1 holds only in-8 driven rows
@@ -349,13 +371,7 @@ TEST(QuantEngine, PartialRowTilesAgreeAcrossTilingsAndPanels) {
     es.mvm_batch(x.data(), batch, ys.data());
     EXPECT_EQ(std::memcmp(yp.data(), ys.data(), yp.size() * sizeof(float)), 0) << "in=" << in;
 
-    CrossbarEngineConfig fc;
-    fc.tile_rows = 8;
-    fc.tile_cols = 64;
-    fc.quant_levels = 256;
-    const CrossbarEngine fe(w, fc);
-    std::vector<float> yf(yp.size());
-    fe.mvm_batch(x.data(), batch, yf.data());
+    const std::vector<float> yf = float_oracle_mvm(w, 8, 64, x);
     for (std::size_t i = 0; i < yp.size(); ++i) {
       ASSERT_NEAR(yp[i], yf[i], 0.08f) << "in=" << in << " i=" << i;
     }
@@ -441,27 +457,57 @@ TEST(QuantEngine, FaultsFlowThroughMvm) {
   EXPECT_NEAR(y[1], y_clean[1], 1e-6f);
 }
 
-TEST(QuantEngine, DeviceDefectStreamMatchesFloatEngine) {
-  // Same (master_seed, device_index) must name the same physical die in both
-  // simulations: identical stuck-cell counts and near-identical effective
-  // weights (level snapping is shared; only float round-off differs).
+TEST(QuantEngine, DefectsAreDeterministicPerDevice) {
+  // (master_seed, device_index) names one physical die: the per-tile stream
+  // reproduces it exactly and a different device index draws another.
   const Tensor w = random_tensor(Shape{20, 24}, 77);
-  QuantizedEngineConfig qc = small_config(/*levels=*/16);
+  const StuckAtFaultModel model(0.05, 0.5);
+  QuantizedCrossbarEngine a(w, small_config());
+  QuantizedCrossbarEngine b(w, small_config());
+  QuantizedCrossbarEngine c(w, small_config());
+  a.apply_device_defects(model, /*master_seed=*/123, /*device_index=*/4);
+  b.apply_device_defects(model, /*master_seed=*/123, /*device_index=*/4);
+  c.apply_device_defects(model, /*master_seed=*/123, /*device_index=*/5);
+  ASSERT_GT(a.stuck_cells(), 0);
+  EXPECT_EQ(a.stuck_cells(), b.stuck_cells());
+  const Tensor ra = a.read_back();
+  const Tensor rb = b.read_back();
+  EXPECT_EQ(std::memcmp(ra.data(), rb.data(), static_cast<std::size_t>(ra.numel()) * sizeof(float)),
+            0);
+  EXPECT_FALSE(ra.allclose(c.read_back(), 0.0f, 0.0f));
+}
+
+TEST(QuantEngine, DeviceDefectStreamMatchesFloatEngine) {
+  // The die that (master_seed, device_index) names, exported as a
+  // weight-indexed map, is the same die on the float oracle and on a fresh
+  // quantized engine: identical stuck-cell counts, a bit-identical replay,
+  // and oracle weights within half a level step (programming round-off).
+  const Tensor w = random_tensor(Shape{20, 24}, 77);  // whole 8 x 8 tiles: no padding cells
+  QuantizedCrossbarEngine qe(w, small_config(/*levels=*/16));
+  qe.apply_device_defects(StuckAtFaultModel(0.05, 0.5), /*master_seed=*/123,
+                          /*device_index=*/4);
+  ASSERT_GT(qe.stuck_cells(), 0);
+  const DefectMap die = qe.defect_map();
+  EXPECT_EQ(die.fault_count(), qe.stuck_cells());
+
   CrossbarEngineConfig fc;
   fc.tile_rows = 8;
   fc.tile_cols = 8;
-  fc.quant_levels = 16;
-  QuantizedCrossbarEngine qe(w, qc);
   CrossbarEngine fe(w, fc);
-  const StuckAtFaultModel model(0.05, 0.5);
-  qe.apply_device_defects(model, /*master_seed=*/123, /*device_index=*/4);
-  fe.apply_device_defects(model, /*master_seed=*/123, /*device_index=*/4);
-  ASSERT_GT(qe.stuck_cells(), 0);
+  fe.apply_defect_map(die);
   EXPECT_EQ(qe.stuck_cells(), fe.stuck_cells());
+
+  QuantizedCrossbarEngine replay(w, small_config(/*levels=*/16));
+  replay.apply_defect_map(die);
   const Tensor qw = qe.read_back();
+  const Tensor rw = replay.read_back();
+  EXPECT_EQ(std::memcmp(qw.data(), rw.data(), static_cast<std::size_t>(qw.numel()) * sizeof(float)),
+            0);
+
   const Tensor fw = fe.read_back();
+  const float half_step = 0.5f * qe.w_max() / 15.0f;
   for (std::int64_t i = 0; i < qw.numel(); ++i) {
-    ASSERT_NEAR(qw[i], fw[i], 1e-5f) << "i=" << i;
+    ASSERT_LE(std::fabs(qw[i] - fw[i]), half_step + 1e-6f * qe.w_max()) << "i=" << i;
   }
 }
 

@@ -238,19 +238,21 @@ TEST(ServeHealthCanary, GoldenOutputsAreDeterministicAndSourceUntouched) {
   for (const Param* p : parameters_of(*model)) EXPECT_EQ(p->value.vec(), before[k++]);
 }
 
-TEST(ServeHealthCanary, ScoreCountsArgmaxMatchesOrToleranceHits) {
+TEST(ServeHealthCanary, ScoreCountsArgmaxMatches) {
   const auto model = make_model();
   const CanarySet canary = make_canary_set(*model, Shape{3, 16, 16}, 4, 7);
   // The clean model scores perfectly against its own golden outputs.
   EXPECT_EQ(score_canary(canary.golden, canary), 4);
-  EXPECT_EQ(score_canary(canary.golden, canary, /*max_abs_err=*/0.0f), 4);
 
-  // Nudge one logit: within a loose tolerance, outside a tight one; argmax
-  // comparison only cares if the prediction flips.
+  // Nudging a logit that keeps the argmax still passes; flipping one row's
+  // prediction fails exactly that row.
+  const std::int64_t classes = canary.golden.dim(1);
   Tensor nudged = canary.golden;
-  nudged[0] += 0.5f;
-  EXPECT_EQ(score_canary(nudged, canary, /*max_abs_err=*/1.0f), 4);
-  EXPECT_EQ(score_canary(nudged, canary, /*max_abs_err=*/0.01f), 3);
+  nudged[canary.golden_pred[0]] += 0.5f;
+  EXPECT_EQ(score_canary(nudged, canary), 4);
+  const std::int64_t other = (canary.golden_pred[1] + 1) % classes;
+  nudged[classes + other] = canary.golden.abs_max() + 1.0f;
+  EXPECT_EQ(score_canary(nudged, canary), 3);
 }
 
 // --- Deadlines, retry, failover ---------------------------------------------
