@@ -16,6 +16,10 @@
 #              crash-injection sweep (every truncation offset and bit flip of
 #              a checkpoint must be rejected with a typed CheckpointError)
 #              plus kill/resume bit-equivalence at 1 and 4 threads
+#   perfbench  the benchmark's own tests (perfbench/tests/test_perfbench.py):
+#              builds .bench_build/perfbench, runs every workload for 2 s and
+#              requires its outputs to equal perfbench/reference.json exactly —
+#              the end-to-end guard for bit-identity of the datapaths
 #
 # Usage:
 #   scripts/ci.sh             # run the whole matrix
@@ -79,8 +83,17 @@ run_analyze() {
   echo "==> [analyze] OK (artifact: ${out_dir}/findings.json)"
 }
 
+run_perfbench() {
+  # No ctest tree: the benchmark builds its own (run.py), so this leg checks
+  # exactly what the benchmark runs.
+  echo "==> [perfbench] perfbench/tests/test_perfbench.py"
+  (cd "${REPO_ROOT}" && python3 perfbench/tests/test_perfbench.py)
+  echo "==> [perfbench] OK"
+}
+
 declare -A CMAKE_ARGS=(
   [analyze]=""
+  [perfbench]=""
   [default]="-DFTPIM_WERROR=ON"
   [scalar]="-DFTPIM_WERROR=ON"
   [address]="-DFTPIM_SANITIZE=address"
@@ -90,6 +103,7 @@ declare -A CMAKE_ARGS=(
 )
 declare -A CTEST_ARGS=(
   [analyze]=""
+  [perfbench]=""
   [default]=""
   [scalar]="-E ^(lint|analyze)"
   [address]="-E ^(lint|analyze)"
@@ -98,7 +112,7 @@ declare -A CTEST_ARGS=(
   [crash]="-R ${CRASH_SUBSET}"
 )
 
-ORDER=(analyze default scalar address undefined thread crash)
+ORDER=(analyze default scalar address undefined thread crash perfbench)
 if [[ $# -gt 0 ]]; then
   ORDER=("$@")
 fi
@@ -110,6 +124,8 @@ for cfg in "${ORDER[@]}"; do
   fi
   if [[ "${cfg}" == "analyze" ]]; then
     run_analyze
+  elif [[ "${cfg}" == "perfbench" ]]; then
+    run_perfbench
   elif [[ "${cfg}" == "thread" ]]; then
     FTPIM_THREADS=4 run_config "${cfg}" "${CMAKE_ARGS[${cfg}]}" "${CTEST_ARGS[${cfg}]}"
   elif [[ "${cfg}" == "scalar" ]]; then

@@ -7,7 +7,6 @@
 #include "src/common/parallel.hpp"
 #include "src/nn/init.hpp"
 #include "src/tensor/kernels/conv_kernels.hpp"
-#include "src/tensor/kernels/pack_arena.hpp"
 
 namespace ftpim {
 namespace {
@@ -84,27 +83,7 @@ Tensor Conv2d::forward(const Tensor& input, bool training) {
   const auto forward_image = [&](std::size_t i) {
     float* dst = out.data() + static_cast<std::int64_t>(i) * out_plane;
     if (hook != nullptr) {
-      // Deployed path: stage the image's patch matrix explicitly and hand
-      // each output pixel to the hook as one activation row. Float scratch
-      // slots 1/2 — disjoint from the conv-dX slab (0); the quantized
-      // engine underneath only touches the typed integer slots.
-      const std::int64_t col_rows = geom_.col_rows();  // in_c * k * k
-      const std::int64_t pixels = oh * ow;
-      kernels::PackArena& arena = kernels::PackArena::local();
-      float* col = arena.scratch_buffer(1, static_cast<std::size_t>(col_rows * pixels));
-      im2col(input.data() + static_cast<std::int64_t>(i) * in_plane, geom_, col);
-      float* patches = arena.scratch_buffer(2, static_cast<std::size_t>(pixels * col_rows));
-      for (std::int64_t p = 0; p < pixels; ++p) {
-        for (std::int64_t r = 0; r < col_rows; ++r) {
-          patches[p * col_rows + r] = col[r * pixels + p];
-        }
-      }
-      // col is dead past this point; its slot restages as the hook output.
-      float* yb = arena.scratch_buffer(1, static_cast<std::size_t>(pixels * out_channels_));
-      hook->mvm_batch(patches, pixels, yb);
-      for (std::int64_t c = 0; c < out_channels_; ++c) {
-        for (std::int64_t p = 0; p < pixels; ++p) dst[c * pixels + p] = yb[p * out_channels_ + c];
-      }
+      hook->conv_image(input.data() + static_cast<std::int64_t>(i) * in_plane, geom_, dst);
     } else {
       kernels::conv_forward_packed(geom_, w, out_channels_,
                                    input.data() + static_cast<std::int64_t>(i) * in_plane, dst);

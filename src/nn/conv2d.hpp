@@ -9,9 +9,10 @@
 // (batch norm follows); bias is supported for standalone use.
 //
 // An installed MvmHook replaces the filter GEMM during eval-mode forward:
-// each image is lowered to a [out_h*out_w, C*kh*kw] patch matrix and fed to
-// the hook as a batch of patch rows (training and backward always use the
-// float weights); see mvm_hook.hpp.
+// each image goes to the hook's conv_image, whose default lowers it to a
+// [out_h*out_w, C*kh*kw] patch matrix fed to mvm_batch as a batch of patch
+// rows (training and backward always use the float weights); see
+// mvm_hook.hpp.
 #pragma once
 
 #include <memory>

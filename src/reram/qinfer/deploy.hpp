@@ -43,6 +43,9 @@ class EngineHook final : public MvmHook {
   void mvm_batch(const float* x, std::int64_t batch, float* y) const override {
     engine_->mvm_batch(x, batch, y);
   }
+  void conv_image(const float* x, const ConvGeometry& g, float* y) const override {
+    engine_->conv_image(x, g, y);
+  }
   [[nodiscard]] std::int64_t in_features() const noexcept override {
     return engine_->in_features();
   }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <utility>
 
 #include "src/common/annotations.hpp"
@@ -52,12 +54,12 @@ QuantizedCrossbarEngine::QuantizedCrossbarEngine(const Tensor& weights,
   col_tiles_ = (out_ + outs_per_tile_ - 1) / outs_per_tile_;
   check_cols_ =
       config_.abft.enabled ? abft::checksum_digit_columns(config_.levels, config_.tile_cols) : 0;
-  // With ABFT on the packed width is rounded up to a multiple of 16: the
-  // qgemm kernels run aligned widths measurably faster than the odd width
-  // tile_cols + check_cols_ lands on (e.g. 128 + 3). The pad columns are
-  // DEAD ZERO cells — padding with extra digit columns instead would add an
-  // L^k * delta term per column to the ADC tolerance and destroy detection
-  // sensitivity. Verification never reads past tile_cols + check_cols_.
+  // With ABFT on the packed width is rounded up to a multiple of 16, so the
+  // digit columns sit in whole kernel panels. The pad columns are DEAD ZERO
+  // cells — padding with extra digit columns instead would add an L^k *
+  // delta term per column to the ADC tolerance and destroy detection
+  // sensitivity. The kernel is never asked for columns past tile_cols +
+  // check_cols_ (e.g. 128 + 3).
   packed_cols_ = config_.tile_cols + check_cols_;
   if (check_cols_ > 0) packed_cols_ = (packed_cols_ + 15) & ~std::int64_t{15};
 
@@ -382,14 +384,123 @@ void QuantizedCrossbarEngine::clear_defects() {
 
 namespace {
 
+/// Folds |v| into absmax when v is finite and clears `finite` when it is
+/// not: the scale ignores NaN and Inf, so one bad request cannot rescale (or,
+/// through an infinite absmax, poison) its batchmates.
+FTPIM_HOT inline void fold_absmax(float v, float& absmax, bool& finite) noexcept {
+  const float a = std::fabs(v);
+  if (a <= std::numeric_limits<float>::max()) {
+    if (a > absmax) absmax = a;
+  } else {
+    finite = false;
+  }
+}
+
+/// The symmetric int8 code of one activation at scale inv_scale = 127 /
+/// absmax. A non-finite activation gets code 0; every output it reaches is
+/// overwritten with NaN afterwards.
+FTPIM_HOT inline std::int8_t quantize_code(float v, float inv_scale) noexcept {
+  if (!std::isfinite(v)) return 0;
+  const long code = std::lround(v * inv_scale);
+  return static_cast<std::int8_t>(std::clamp<long>(code, -127, 127));
+}
+
+/// mask[i] = 1 for every input position i in [0, in) that some output
+/// window covers along one axis (windows of `kernel` taps, `stride` apart,
+/// starting at -pad).
+FTPIM_HOT void mark_covered(std::uint8_t* mask, std::int64_t in, std::int64_t out,
+                            std::int64_t stride, std::int64_t pad, std::int64_t kernel) noexcept {
+  std::fill(mask, mask + in, std::uint8_t{0});
+  for (std::int64_t o = 0; o < out; ++o) {
+    const std::int64_t first = std::max<std::int64_t>(0, o * stride - pad);
+    const std::int64_t last = std::min(in, o * stride - pad + kernel);
+    for (std::int64_t i = first; i < last; ++i) mask[i] = 1;
+  }
+}
+
+/// Gathers the int8 patch rows of output pixels [lo, hi) from an image of
+/// codes into xq (row stride `stride`), in im2col's feature order (channel,
+/// kernel row, kernel column), with 0 for padding taps and for the odd-K
+/// pad byte.
+FTPIM_HOT void gather_patches(const std::int8_t* codes, const ConvGeometry& g, std::int64_t lo,
+                              std::int64_t hi, std::int8_t* xq, std::int64_t stride) noexcept {
+  const std::int64_t ow = g.out_w();
+  const std::int64_t kh = g.kernel_h;
+  const std::int64_t kw = g.kernel_w;
+  const std::int64_t in = g.col_rows();
+  const std::int64_t plane = g.in_h * g.in_w;
+  for (std::int64_t p = lo; p < hi; ++p) {
+    std::int8_t* row = xq + p * stride;
+    const std::int64_t iy0 = (p / ow) * g.stride_h - g.pad_h;
+    const std::int64_t ix0 = (p % ow) * g.stride_w - g.pad_w;
+    const bool interior_x = ix0 >= 0 && ix0 + kw <= g.in_w;
+    for (std::int64_t c = 0; c < g.in_c; ++c) {
+      for (std::int64_t ky = 0; ky < kh; ++ky) {
+        std::int8_t* dst = row + (c * kh + ky) * kw;
+        const std::int64_t iy = iy0 + ky;
+        if (iy < 0 || iy >= g.in_h) {
+          std::memset(dst, 0, static_cast<std::size_t>(kw));
+          continue;
+        }
+        const std::int8_t* src = codes + c * plane + iy * g.in_w;
+        if (interior_x) {
+          std::memcpy(dst, src + ix0, static_cast<std::size_t>(kw));
+          continue;
+        }
+        for (std::int64_t kx = 0; kx < kw; ++kx) {
+          const std::int64_t ix = ix0 + kx;
+          dst[kx] = (ix >= 0 && ix < g.in_w) ? src[ix] : std::int8_t{0};
+        }
+      }
+    }
+    if ((in & 1) != 0) row[in] = 0;
+  }
+}
+
+/// Rows of x[rows, in] holding a non-finite value get NaN in every output of
+/// their y row. Runs only when the scale pass saw one.
+FTPIM_COLD void poison_rows(const float* x, std::int64_t rows, std::int64_t in, std::int64_t out,
+                            float* y) {
+  for (std::int64_t r = 0; r < rows; ++r) {
+    const float* xrow = x + r * in;
+    if (std::all_of(xrow, xrow + in, [](float v) { return std::isfinite(v); })) continue;
+    std::fill(y + r * out, y + (r + 1) * out, std::numeric_limits<float>::quiet_NaN());
+  }
+}
+
+/// Output pixels whose window covers a non-finite pixel of image x get NaN
+/// in every channel of y[out, pixels]. Runs only when the scale pass saw one.
+FTPIM_COLD void poison_pixels(const float* x, const ConvGeometry& g, std::int64_t out, float* y) {
+  const std::int64_t ow = g.out_w();
+  const std::int64_t pixels = g.out_h() * ow;
+  for (std::int64_t p = 0; p < pixels; ++p) {
+    const std::int64_t iy0 = (p / ow) * g.stride_h - g.pad_h;
+    const std::int64_t ix0 = (p % ow) * g.stride_w - g.pad_w;
+    const std::int64_t y_end = std::min(iy0 + g.kernel_h, g.in_h);
+    const std::int64_t x_end = std::min(ix0 + g.kernel_w, g.in_w);
+    bool finite = true;
+    for (std::int64_t c = 0; c < g.in_c; ++c) {
+      for (std::int64_t iy = std::max<std::int64_t>(iy0, 0); iy < y_end; ++iy) {
+        for (std::int64_t ix = std::max<std::int64_t>(ix0, 0); ix < x_end; ++ix) {
+          finite = finite && std::isfinite(x[(c * g.in_h + iy) * g.in_w + ix]);
+        }
+      }
+    }
+    if (finite) continue;
+    for (std::int64_t o = 0; o < out; ++o) y[o * pixels + p] = std::numeric_limits<float>::quiet_NaN();
+  }
+}
+
 /// Rare-path clip scan for the ABFT veto: recomputes the digitized value of
-/// every verified column of one (sample, tile) readout and reports whether
+/// columns [begin, end) of one (sample, tile) readout and reports whether
 /// any reached the converter rails. Runs only when a residual is already out
 /// of tolerance, so the clean readout pays nothing for clip detection.
+/// Callers pass only columns the kernel computed in this call: the rest of
+/// the row holds stale values from earlier calls.
 FTPIM_COLD bool any_column_clipped(const std::int32_t* crow, const std::int32_t* delta,
-                                   const std::int64_t* sat, std::int64_t ncols,
+                                   const std::int64_t* sat, std::int64_t begin, std::int64_t end,
                                    std::int32_t qmax) {
-  for (std::int64_t c = 0; c < ncols; ++c) {
+  for (std::int64_t c = begin; c < end; ++c) {
     const std::int32_t d = adc_digitize(crow[c], delta[static_cast<std::size_t>(c)], qmax);
     if (static_cast<std::int64_t>(d < 0 ? -d : d) >= sat[static_cast<std::size_t>(c)]) {
       return true;
@@ -412,161 +523,248 @@ FTPIM_HOT void QuantizedCrossbarEngine::mvm_batch(const float* x, std::int64_t b
   // Per-batch symmetric activation scale: sx = absmax / 127. A zero batch
   // yields zero drive everywhere — short-circuit before dividing.
   float absmax = 0.0f;
-  const std::int64_t total_in = batch * in_;
-  for (std::int64_t i = 0; i < total_in; ++i) {
-    const float a = x[i] < 0.0f ? -x[i] : x[i];
-    if (a > absmax) absmax = a;
-  }
+  bool finite = true;
+  for (std::int64_t i = 0; i < batch * in_; ++i) fold_absmax(x[i], absmax, finite);
   if (absmax == 0.0f) {
     std::fill(y, y + batch * out_, 0.0f);
-    return;
+  } else {
+    const float inv_scale = 127.0f / absmax;
+    // Odd in_ needs one zero pad byte per row: the kernels consume K in pairs
+    // (qgemm.hpp's lda >= k + (k & 1) contract). tile_rows is even, so only
+    // the LAST row tile can see an odd k, and its pad lands at column in_.
+    const std::int64_t stride = in_ + (in_ & 1);
+    auto* xq = reinterpret_cast<std::int8_t*>(kernels::PackArena::local().byte_buffer(
+        0, static_cast<std::size_t>(batch * stride)));
+    // Row-parallel over the batch: each worker quantizes its own slice of
+    // xq, then walks every tile. All per-output state is integer until the
+    // single dequantizing multiply, so the partition never changes a bit of y.
+    parallel_for_chunks(
+        0, static_cast<std::size_t>(batch),
+        [&](std::size_t lo_s, std::size_t hi_s) {
+          const auto lo = static_cast<std::int64_t>(lo_s);
+          const auto hi = static_cast<std::int64_t>(hi_s);
+          for (std::int64_t bi = lo; bi < hi; ++bi) {
+            const float* xrow = x + bi * in_;
+            std::int8_t* qrow = xq + bi * stride;
+            for (std::int64_t i = 0; i < in_; ++i) qrow[i] = quantize_code(xrow[i], inv_scale);
+            if ((in_ & 1) != 0) qrow[in_] = 0;
+          }
+          walk_tiles(xq, lo, hi, absmax, y, out_, 1);
+        },
+        2);
   }
-  const float inv_scale = 127.0f / absmax;
-  const float dequant = (absmax / 127.0f) * (w_max_ / static_cast<float>(config_.levels - 1));
+  if (!finite) poison_rows(x, batch, in_, out_, y);
+}
 
+FTPIM_HOT void QuantizedCrossbarEngine::conv_image(const float* x, const ConvGeometry& g,
+                                                   float* y) const {
+  FTPIM_CHECK_EQ(g.col_rows(), in_, "QuantizedCrossbarEngine::conv_image: patch length mismatch");
+  const std::int64_t pixels = g.col_cols();
+  const std::int64_t plane = g.in_h * g.in_w;
+  kernels::PackArena& arena = kernels::PackArena::local();
+  // Byte slot 1 holds the per-axis cover masks, then the image's int8 codes;
+  // slot 0 receives the gathered patch rows, as in mvm_batch.
+  std::uint8_t* cover = arena.byte_buffer(
+      1, static_cast<std::size_t>(g.in_h + g.in_w + g.in_c * plane));
+  std::uint8_t* row_cover = cover;
+  std::uint8_t* col_cover = cover + g.in_h;
+  auto* codes = reinterpret_cast<std::int8_t*>(cover + g.in_h + g.in_w);
+  mark_covered(row_cover, g.in_h, g.out_h(), g.stride_h, g.pad_h, g.kernel_h);
+  mark_covered(col_cover, g.in_w, g.out_w(), g.stride_w, g.pad_w, g.kernel_w);
+
+  // The staged patch matrix holds exactly the covered pixels plus padding
+  // zeros, so its absmax is the absmax over covered pixels: a pixel no
+  // window reads (stride > kernel) must not set the scale.
+  float absmax = 0.0f;
+  bool finite = true;
+  for (std::int64_t c = 0; c < g.in_c; ++c) {
+    for (std::int64_t iy = 0; iy < g.in_h; ++iy) {
+      if (row_cover[iy] == 0) continue;
+      const float* src = x + c * plane + iy * g.in_w;
+      for (std::int64_t ix = 0; ix < g.in_w; ++ix) {
+        if (col_cover[ix] != 0) fold_absmax(src[ix], absmax, finite);
+      }
+    }
+  }
+  if (absmax == 0.0f) {
+    std::fill(y, y + out_ * pixels, 0.0f);
+  } else {
+    // Each covered pixel is quantized once, with mvm_batch's expression, so
+    // every gathered code equals the code mvm_batch gives that patch entry.
+    const float inv_scale = 127.0f / absmax;
+    for (std::int64_t c = 0; c < g.in_c; ++c) {
+      for (std::int64_t iy = 0; iy < g.in_h; ++iy) {
+        if (row_cover[iy] == 0) continue;
+        const float* src = x + c * plane + iy * g.in_w;
+        std::int8_t* dst = codes + c * plane + iy * g.in_w;
+        for (std::int64_t ix = 0; ix < g.in_w; ++ix) {
+          if (col_cover[ix] != 0) dst[ix] = quantize_code(src[ix], inv_scale);
+        }
+      }
+    }
+    const std::int64_t stride = in_ + (in_ & 1);
+    auto* xq = reinterpret_cast<std::int8_t*>(
+        arena.byte_buffer(0, static_cast<std::size_t>(pixels * stride)));
+    // Same row-parallel split as mvm_batch, over output pixels; the result
+    // lands transposed, straight in the [out, pixels] slice.
+    parallel_for_chunks(
+        0, static_cast<std::size_t>(pixels),
+        [&](std::size_t lo_s, std::size_t hi_s) {
+          const auto lo = static_cast<std::int64_t>(lo_s);
+          const auto hi = static_cast<std::int64_t>(hi_s);
+          gather_patches(codes, g, lo, hi, xq, stride);
+          walk_tiles(xq, lo, hi, absmax, y, 1, pixels);
+        },
+        2);
+  }
+  if (!finite) poison_pixels(x, g, out_, y);
+}
+
+FTPIM_HOT void QuantizedCrossbarEngine::walk_tiles(const std::int8_t* xq, std::int64_t lo,
+                                                   std::int64_t hi, float absmax, float* y,
+                                                   std::int64_t y_row, std::int64_t y_out) const {
+  const std::int64_t mb = hi - lo;
+  const std::int64_t stride = in_ + (in_ & 1);
+  const float dequant = (absmax / 127.0f) * (w_max_ / static_cast<float>(config_.levels - 1));
   const std::int64_t tc = config_.tile_cols;
   const std::int64_t pc = packed_cols_;  // tc + checksum digit columns
   const bool do_abft = check_cols_ > 0;
   const std::int64_t levels = config_.levels;
-  // Odd in_ needs one zero pad byte per row: the kernels consume K in pairs
-  // (qgemm.hpp's lda >= k + (k & 1) contract). tile_rows is even, so only
-  // the LAST row tile can see an odd k, and its pad lands at column in_.
-  const std::int64_t stride = in_ + (in_ & 1);
-  kernels::PackArena& caller_arena = kernels::PackArena::local();
-  auto* xq = reinterpret_cast<std::int8_t*>(
-      caller_arena.byte_buffer(0, static_cast<std::size_t>(batch * stride)));
-
+  // The checksum digits are columns [tc, chk_end); chk_begin is the first
+  // column of their first panel. The kernel is asked for columns up to
+  // chk_end only: the dead pad columns past it are never read, and on a
+  // full tile the AVX2 kernel computes a digit panel of at most 8 valid
+  // columns in the last data panel's pass.
+  const std::int64_t chk_begin = tc / kernels::kQNR * kernels::kQNR;
+  const std::int64_t chk_end = tc + check_cols_;
   const kernels::QmvmKernel kern = kernels::select_qmvm_kernel(kernels::active_kernel_level());
   const bool ideal_adc = config_.adc.ideal();
   const std::int32_t qmax = ideal_adc ? 0 : config_.adc.qmax();
 
-  // Row-parallel over the batch: each worker quantizes its own slice of xq,
-  // then walks every tile. All per-output state is integer until the single
-  // dequantizing multiply, so the partition never changes a bit of y.
-  parallel_for_chunks(
-      0, static_cast<std::size_t>(batch),
-      [&](std::size_t lo_s, std::size_t hi_s) {
-        const auto lo = static_cast<std::int64_t>(lo_s);
-        const auto hi = static_cast<std::int64_t>(hi_s);
-        const std::int64_t mb = hi - lo;
-        for (std::int64_t bi = lo; bi < hi; ++bi) {
-          const float* xrow = x + bi * in_;
-          std::int8_t* qrow = xq + bi * stride;
-          for (std::int64_t i = 0; i < in_; ++i) {
-            const long code = std::lround(xrow[i] * inv_scale);
-            qrow[i] = static_cast<std::int8_t>(std::clamp<long>(code, -127, 127));
+  kernels::PackArena& arena = kernels::PackArena::local();
+  std::int32_t* cur = arena.i32_buffer(0, static_cast<std::size_t>(mb * pc));
+  std::int64_t* acc = arena.i64_buffer(0, static_cast<std::size_t>(mb * out_));
+  std::fill(acc, acc + mb * out_, std::int64_t{0});
+  std::int64_t* mm = nullptr;  // per-worker per-tile mismatch counts
+  std::int64_t chunk_checks = 0;
+  if (do_abft) {
+    mm = arena.i64_buffer(1, tiles_.size());
+    std::fill(mm, mm + tiles_.size(), std::int64_t{0});
+  }
+
+  for (std::int64_t rt = 0; rt < row_tiles_; ++rt) {
+    const std::int64_t base = rt * config_.tile_rows;
+    const std::int64_t valid = std::min(config_.tile_rows, in_ - base);
+    const std::int8_t* a = xq + lo * stride + base;
+    // Packed panel stride: ceil(valid / 2) k-pairs of kQNR column pairs.
+    const std::int64_t panel_bytes = kernels::ceil_div(valid, 2) * 2 * kernels::kQNR;
+    for (std::int64_t ct = 0; ct < col_tiles_; ++ct) {
+      const Tile& t = tile(rt, ct);
+      const std::int64_t out_base = ct * outs_per_tile_;
+      const std::int64_t out_count = std::min(outs_per_tile_, out_ - out_base);
+      // A verified tile folds the checksum comparison into the readout
+      // loop: the per-output accumulation below is kept expression-for-
+      // expression identical to the unverified branch, so enabling ABFT
+      // never changes a bit of y.
+      const bool check_tile = do_abft && t.check_ok != 0;
+      // Read bound: the readout reads the mapped data columns and, on a
+      // verified tile, the data columns below nz_cols plus the checksum
+      // digits. The kernel computes only the panels holding those columns;
+      // the columns it skips are never read or read exactly zero, so y and
+      // every ABFT tally are unchanged.
+      const std::int64_t dcols = check_tile ? std::max(2 * out_count, t.nz_cols) : 2 * out_count;
+      const std::int64_t data_end =
+          std::min(kernels::ceil_div(dcols, kernels::kQNR) * kernels::kQNR, pc);
+      if (!check_tile) {
+        kern(mb, data_end, valid, a, stride, t.packed.data(), cur, pc);
+      } else if (data_end >= chk_begin) {
+        kern(mb, chk_end, valid, a, stride, t.packed.data(), cur, pc);
+      } else {
+        kern(mb, data_end, valid, a, stride, t.packed.data(), cur, pc);
+        kern(mb, chk_end - chk_begin, valid, a, stride,
+             t.packed.data() + chk_begin / kernels::kQNR * panel_bytes, cur + chk_begin, pc);
+      }
+      for (std::int64_t bi = 0; bi < mb; ++bi) {
+        const std::int32_t* crow = cur + bi * pc;
+        std::int64_t* arow = acc + bi * out_ + out_base;
+        std::int64_t dsum = 0;  // sum of digitized data columns
+        if (ideal_adc) {
+          if (check_tile) {
+            for (std::int64_t o = 0; o < out_count; ++o) {
+              arow[o] += crow[2 * o] - crow[2 * o + 1];
+              dsum += static_cast<std::int64_t>(crow[2 * o]) + crow[2 * o + 1];
+            }
+          } else {
+            for (std::int64_t o = 0; o < out_count; ++o) {
+              arow[o] += crow[2 * o] - crow[2 * o + 1];
+            }
           }
-          if ((in_ & 1) != 0) qrow[in_] = 0;
-        }
-
-        kernels::PackArena& arena = kernels::PackArena::local();
-        std::int32_t* cur = arena.i32_buffer(0, static_cast<std::size_t>(mb * pc));
-        std::int64_t* acc = arena.i64_buffer(0, static_cast<std::size_t>(mb * out_));
-        std::fill(acc, acc + mb * out_, std::int64_t{0});
-        std::int64_t* mm = nullptr;  // per-worker per-tile mismatch counts
-        std::int64_t chunk_checks = 0;
-        if (do_abft) {
-          mm = arena.i64_buffer(1, tiles_.size());
-          std::fill(mm, mm + tiles_.size(), std::int64_t{0});
-        }
-
-        for (std::int64_t rt = 0; rt < row_tiles_; ++rt) {
-          const std::int64_t base = rt * config_.tile_rows;
-          const std::int64_t valid = std::min(config_.tile_rows, in_ - base);
-          for (std::int64_t ct = 0; ct < col_tiles_; ++ct) {
-            const Tile& t = tile(rt, ct);
-            kern(mb, pc, valid, xq + lo * stride + base, stride, t.packed.data(), cur, pc);
-            const std::int64_t out_base = ct * outs_per_tile_;
-            const std::int64_t out_count = std::min(outs_per_tile_, out_ - out_base);
-            // A verified tile folds the checksum comparison into the readout
-            // loop: the per-output accumulation below is kept expression-for-
-            // expression identical to the unverified branch, so enabling ABFT
-            // never changes a bit of y.
-            const bool check_tile = do_abft && t.check_ok != 0;
-            for (std::int64_t bi = 0; bi < mb; ++bi) {
-              const std::int32_t* crow = cur + bi * pc;
-              std::int64_t* arow = acc + bi * out_ + out_base;
-              std::int64_t dsum = 0;  // sum of digitized data columns
-              if (ideal_adc) {
-                if (check_tile) {
-                  for (std::int64_t o = 0; o < out_count; ++o) {
-                    arow[o] += crow[2 * o] - crow[2 * o + 1];
-                    dsum += static_cast<std::int64_t>(crow[2 * o]) + crow[2 * o + 1];
-                  }
-                } else {
-                  for (std::int64_t o = 0; o < out_count; ++o) {
-                    arow[o] += crow[2 * o] - crow[2 * o + 1];
-                  }
-                }
-              } else {
-                if (check_tile) {
-                  for (std::int64_t o = 0; o < out_count; ++o) {
-                    const std::int32_t dp = adc_digitize(
-                        crow[2 * o], t.delta[static_cast<std::size_t>(2 * o)], qmax);
-                    const std::int32_t dn = adc_digitize(
-                        crow[2 * o + 1], t.delta[static_cast<std::size_t>(2 * o + 1)], qmax);
-                    arow[o] += dp - dn;
-                    dsum += static_cast<std::int64_t>(dp) + dn;
-                  }
-                } else {
-                  for (std::int64_t o = 0; o < out_count; ++o) {
-                    arow[o] += adc_digitize(crow[2 * o], t.delta[static_cast<std::size_t>(2 * o)],
-                                            qmax) -
-                               adc_digitize(crow[2 * o + 1],
-                                            t.delta[static_cast<std::size_t>(2 * o + 1)], qmax);
-                  }
-                }
-              }
-              if (check_tile) {
-                // Data columns past the mapped outputs (edge col tiles only)
-                // still count toward the checksum identity — but only up to
-                // the tile's last nonzero column; the rest read exactly zero.
-                const std::int64_t ctop = t.nz_cols;
-                for (std::int64_t c = 2 * out_count; c < ctop; ++c) {
-                  dsum += ideal_adc
-                              ? crow[c]
-                              : adc_digitize(crow[c], t.delta[static_cast<std::size_t>(c)], qmax);
-                }
-                std::int64_t chk = 0;  // sum_k L^k * digit column k, via Horner
-                for (std::int64_t k = check_cols_ - 1; k >= 0; --k) {
-                  std::int32_t a = crow[tc + k];
-                  if (!ideal_adc) {
-                    a = adc_digitize(a, t.delta[static_cast<std::size_t>(tc + k)], qmax);
-                  }
-                  chk = chk * levels + a;
-                }
-                ++chunk_checks;
-                const std::int64_t res = dsum - chk;
-                if ((res < 0 ? -2 * res : 2 * res) > t.tol2) {
-                  // Out-of-tolerance residual. On the ADC path a saturated
-                  // column breaks the linearity the identity needs, so the
-                  // clip veto is decided HERE, on the rare mismatch path,
-                  // instead of per column in the clean readout above. A
-                  // clipped sample whose distorted residual still lands
-                  // inside tolerance counts as a check but cannot alarm.
-                  if (ideal_adc ||
-                      !any_column_clipped(crow, t.delta.data(), t.sat.data(),
-                                          tc + check_cols_, qmax)) {
-                    ++mm[static_cast<std::size_t>(rt * col_tiles_ + ct)];
-                  } else {
-                    --chunk_checks;  // vetoed, not verified
-                  }
-                }
-              }
+        } else {
+          if (check_tile) {
+            for (std::int64_t o = 0; o < out_count; ++o) {
+              const std::int32_t dp =
+                  adc_digitize(crow[2 * o], t.delta[static_cast<std::size_t>(2 * o)], qmax);
+              const std::int32_t dn =
+                  adc_digitize(crow[2 * o + 1], t.delta[static_cast<std::size_t>(2 * o + 1)], qmax);
+              arow[o] += dp - dn;
+              dsum += static_cast<std::int64_t>(dp) + dn;
+            }
+          } else {
+            for (std::int64_t o = 0; o < out_count; ++o) {
+              arow[o] +=
+                  adc_digitize(crow[2 * o], t.delta[static_cast<std::size_t>(2 * o)], qmax) -
+                  adc_digitize(crow[2 * o + 1], t.delta[static_cast<std::size_t>(2 * o + 1)], qmax);
             }
           }
         }
-        if (do_abft) abft_.merge(mm, chunk_checks);
-
-        for (std::int64_t bi = 0; bi < mb; ++bi) {
-          float* yrow = y + (lo + bi) * out_;
-          const std::int64_t* arow = acc + bi * out_;
-          for (std::int64_t o = 0; o < out_; ++o) {
-            yrow[o] = static_cast<float>(arow[o]) * dequant;
+        if (check_tile) {
+          // Data columns past the mapped outputs (edge col tiles only)
+          // still count toward the checksum identity — but only up to
+          // the tile's last nonzero column; the rest read exactly zero.
+          for (std::int64_t c = 2 * out_count; c < dcols; ++c) {
+            dsum += ideal_adc ? crow[c]
+                              : adc_digitize(crow[c], t.delta[static_cast<std::size_t>(c)], qmax);
+          }
+          std::int64_t chk = 0;  // sum_k L^k * digit column k, via Horner
+          for (std::int64_t k = check_cols_ - 1; k >= 0; --k) {
+            std::int32_t v = crow[tc + k];
+            if (!ideal_adc) v = adc_digitize(v, t.delta[static_cast<std::size_t>(tc + k)], qmax);
+            chk = chk * levels + v;
+          }
+          ++chunk_checks;
+          const std::int64_t res = dsum - chk;
+          if ((res < 0 ? -2 * res : 2 * res) > t.tol2) {
+            // Out-of-tolerance residual. On the ADC path a saturated
+            // column breaks the linearity the identity needs, so the
+            // clip veto is decided HERE, on the rare mismatch path,
+            // instead of per column in the clean readout above. A
+            // clipped sample whose distorted residual still lands
+            // inside tolerance counts as a check but cannot alarm. The
+            // scan covers the computed columns only; a skipped column
+            // is zero and cannot clip.
+            const bool clipped =
+                !ideal_adc &&
+                (any_column_clipped(crow, t.delta.data(), t.sat.data(), 0, dcols, qmax) ||
+                 any_column_clipped(crow, t.delta.data(), t.sat.data(), tc, chk_end, qmax));
+            if (!clipped) {
+              ++mm[static_cast<std::size_t>(rt * col_tiles_ + ct)];
+            } else {
+              --chunk_checks;  // vetoed, not verified
+            }
           }
         }
-      },
-      2);
+      }
+    }
+  }
+  if (do_abft) abft_.merge(mm, chunk_checks);
+
+  for (std::int64_t bi = 0; bi < mb; ++bi) {
+    float* yrow = y + (lo + bi) * y_row;
+    const std::int64_t* arow = acc + bi * out_;
+    for (std::int64_t o = 0; o < out_; ++o) {
+      yrow[o * y_out] = static_cast<float>(arow[o]) * dequant;
+    }
+  }
 }
 
 Tensor QuantizedCrossbarEngine::read_back() const {

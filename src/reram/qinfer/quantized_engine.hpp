@@ -12,12 +12,14 @@
 //   * stuck-at faults act in the LEVEL domain — stuck-off pins a cell at
 //     level 0 (g_min), stuck-on at level L-1 (g_max) — in a separate fault
 //     byte, so the programmed level survives and clear_defects restores it;
-//   * the MVM is integer end to end: activations are quantized per batch to
-//     int8 codes (symmetric scale sx = absmax / 127), each tile computes
+//   * the MVM is integer end to end: activations are quantized per batch
+//     (per image for conv_image) to int8 codes (symmetric scale sx =
+//     absmax / 127 over the finite activations), each tile computes
 //     int8 x u8 -> int32 column sums through the qgemm kernel backend
-//     (src/tensor/kernels/qgemm.hpp), the ADC model digitizes each column
-//     BEFORE the G+ - G- subtraction (adc.hpp), and per-output partial sums
-//     accumulate across row tiles in int64;
+//     (src/tensor/kernels/qgemm.hpp) for the column panels its readout
+//     reads, the ADC model digitizes each column BEFORE the G+ - G-
+//     subtraction (adc.hpp), and per-output partial sums accumulate across
+//     row tiles in int64;
 //   * one float multiply per output dequantizes at the very end:
 //       y = total * (sx * w_max / (L - 1))
 //     because w_eff = (lv+ - lv-) * step * w_max / span
@@ -25,9 +27,14 @@
 //
 // Determinism contract: everything between activation quantization and the
 // final dequantize is integer arithmetic, which is exact and associative.
-// mvm_batch is therefore bit-identical across FTPIM_THREADS values AND
-// across kernel levels (scalar vs AVX2) — strictly stronger than the float
-// path's tolerance-based reproducibility.
+// mvm_batch and conv_image are therefore bit-identical across FTPIM_THREADS
+// values AND across kernel levels (scalar vs AVX2) — strictly stronger than
+// the float path's tolerance-based reproducibility.
+//
+// Non-finite activations: the scale is taken over finite values only, a
+// non-finite activation quantizes to code 0, and every output that depends
+// on one is NaN (the row for mvm_batch, each output pixel whose window
+// covers it for conv_image). One bad request cannot change its batchmates.
 //
 // Tiling matches CrossbarEngine: weight (o, i) lives in tile
 // (rt = i / tile_rows, ct = o / (tile_cols / 2)) at local row i % tile_rows,
@@ -49,6 +56,7 @@
 #include "src/reram/conductance.hpp"
 #include "src/reram/defect_map.hpp"
 #include "src/reram/qinfer/adc.hpp"
+#include "src/tensor/im2col.hpp"
 #include "src/tensor/tensor.hpp"
 
 namespace ftpim::qinfer {
@@ -117,6 +125,15 @@ class QuantizedCrossbarEngine {
   /// GEMM per tile; the activation scale is shared by the whole batch.
   void mvm_batch(const float* x, std::int64_t batch, float* y) const;
 
+  /// One image of a convolution mapped onto this engine (in_features() ==
+  /// g.col_rows()): x is [in_c, in_h, in_w], y is [out, out_h * out_w].
+  /// Bit-identical, outputs and ABFT tallies, to mvm_batch over the image's
+  /// [pixels, in] patch matrix transposed back (MvmHook's default staging):
+  /// the scale is the absmax over the pixels some patch covers, each such
+  /// pixel is quantized once, and the int8 patch rows are gathered straight
+  /// into the kernel's row layout.
+  void conv_image(const float* x, const ConvGeometry& g, float* y) const;
+
   /// Effective float weights reconstructed from the (faulted) level indices
   /// through the same readout equation as CrossbarEngine::read_back.
   [[nodiscard]] Tensor read_back() const;
@@ -169,8 +186,9 @@ class QuantizedCrossbarEngine {
     std::vector<std::int64_t> sat;
     /// 1 + highest data column with any nonzero effective level over the
     /// driven rows (ABFT only). Columns at or past this bound read exactly
-    /// zero from the kernel, so verification skips them bit-identically —
-    /// on tiles whose outputs cover few columns this is most of the tile.
+    /// zero from the kernel, so neither the kernel nor verification visits
+    /// them — on tiles whose outputs cover few columns this is most of the
+    /// tile.
     std::int64_t nz_cols = 0;
   };
 
@@ -189,6 +207,12 @@ class QuantizedCrossbarEngine {
     return tiles_[static_cast<std::size_t>(rt * col_tiles_ + ct)];
   }
   [[nodiscard]] std::int64_t valid_rows_of(std::int64_t rt) const noexcept;
+  /// The tile walk mvm_batch and conv_image share: int8 rows [lo, hi) of xq
+  /// (row stride in_ + (in_ & 1)) through every tile — kernel, ADC, ABFT
+  /// verify, int64 accumulation — then y[r * y_row + o * y_out] = total *
+  /// (absmax / 127) * w_max / (L - 1) for each row r and output o.
+  void walk_tiles(const std::int8_t* xq, std::int64_t lo, std::int64_t hi, float absmax, float* y,
+                  std::int64_t y_row, std::int64_t y_out) const;
 
   std::int64_t out_ = 0, in_ = 0;
   QuantizedEngineConfig config_;

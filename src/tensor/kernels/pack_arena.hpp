@@ -7,17 +7,19 @@
 //
 // Slots:
 //   a_buffer / b_buffer   packed A / B panels inside gemm_packed
-//   scratch_buffer(slot)  caller-side staging (conv dX column panels, the
-//                         hooked conv forward's patch and output matrices).
-//                         Distinct slots never alias; gemm_packed only
-//                         touches a/b, so scratch contents survive a nested
-//                         gemm call.
+//   scratch_buffer(slot)  caller-side staging (conv dX column panels in
+//                         slot 0; MvmHook's default conv staging, the patch
+//                         and output matrices, in slots 1/2). Distinct slots
+//                         never alias; gemm_packed only touches a/b, so
+//                         scratch contents survive a nested gemm call.
 //   byte/i32/i64_buffer   integer staging for the quantized crossbar path
-//                         (int8 activation codes, per-tile i32 column
-//                         accumulators, i64 differential totals). Typed slots
-//                         are independent of the float slots and of each
-//                         other, so the quantized MVM can nest inside a
-//                         Conv2d hook that holds float scratch.
+//                         (byte 0: int8 activation codes or gathered patch
+//                         rows; byte 1: a conv image's cover masks and codes;
+//                         i32 0: per-tile column sums; i64 0/1: differential
+//                         totals and ABFT mismatch counts). Typed slots are
+//                         independent of the float slots and of each other,
+//                         so the quantized MVM can nest inside a hook's
+//                         default conv staging that holds float scratch.
 #pragma once
 
 #include <cstddef>

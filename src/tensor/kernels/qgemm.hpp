@@ -71,8 +71,11 @@ void qmvm_scalar(std::int64_t m, std::int64_t n, std::int64_t k, const std::int8
 
 /// AVX2 kernel: 4-row x 16-column i32 tiles via u8/i8 -> i16 widening and
 /// _mm256_madd_epi16 (pairwise i16 multiply-add; never saturates, so any
-/// level count up to 256 is exact). Falls back to qmvm_scalar when the TU
-/// was built without AVX2; the dispatcher never selects it there.
+/// level count up to 256 is exact). A last panel with at most 8 valid
+/// columns behind a full panel (a tile's checksum digits behind its data
+/// columns) is computed in the full panel's pass, low half only. Falls back
+/// to qmvm_scalar when the TU was built without AVX2; the dispatcher never
+/// selects it there.
 void qmvm_avx2(std::int64_t m, std::int64_t n, std::int64_t k, const std::int8_t* a,
                std::int64_t lda, const std::uint8_t* packed_b, std::int32_t* c, std::int64_t ldc);
 

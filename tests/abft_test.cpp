@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "src/common/parallel.hpp"
@@ -312,6 +313,139 @@ TEST(AbftQuantized, DecisionsInvariantAcrossThreadsAndKernels) {
       }
     }
   }
+}
+
+/// FNV-1a over the bytes of y: a bit-exact output digest.
+std::uint64_t digest(const std::vector<float>& y) {
+  std::uint64_t h = 1469598103934665603ULL;
+  const auto* bytes = reinterpret_cast<const unsigned char*>(y.data());
+  for (std::size_t i = 0; i < y.size() * sizeof(float); ++i) {
+    h ^= bytes[i];
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+struct ReadBoundCase {
+  std::int64_t out, in, tile_rows, tile_cols;
+  int adc_bits;
+  bool device_die;  ///< die from apply_device_defects, else from a model-cell map
+  // Golden values, recorded while the kernel still computed every packed
+  // column of every tile.
+  std::uint64_t digest;
+  std::int64_t checks, mismatches;
+};
+
+TEST(AbftQuantized, ColumnReadBoundKeepsOutputsAndTallies) {
+  // Every shape leaves columns unmapped in some tile, so the kernel may skip
+  // column panels there. The die's faults are accepted at the baseline; the
+  // faults that follow it ring in the readout. A device die draws faults on
+  // unmapped and checksum cells too, and its post-baseline draw raises dead
+  // columns and hits checksum digits; a model-cell die, like a serve
+  // replica's, leaves unmapped columns at level 0, so verified tiles skip
+  // whole panels.
+  const ReadBoundCase cases[] = {
+      {5, 40, 16, 64, 0, true, 2686985635239824630ULL, 18, 18},
+      {5, 40, 16, 64, 8, true, 3242538238379738437ULL, 4, 0},
+      {37, 50, 32, 48, 0, true, 5803036847118053523ULL, 9, 9},
+      {37, 50, 32, 48, 8, true, 12950826747815364146ULL, 6, 0},
+      {3, 130, 128, 128, 0, true, 17004645329056131570ULL, 9, 9},
+      {3, 130, 128, 128, 8, true, 16736760833517535207ULL, 4, 1},
+      {5, 40, 16, 64, 0, false, 4491339318824833898ULL, 27, 27},
+      {5, 40, 16, 64, 8, false, 12051868292992430355ULL, 15, 9},
+      {37, 50, 32, 48, 0, false, 7469437121906682486ULL, 36, 36},
+      {37, 50, 32, 48, 8, false, 12763853402789152604ULL, 16, 6},
+      {3, 130, 128, 128, 0, false, 15922966193997408252ULL, 18, 9},
+      {3, 130, 128, 128, 8, false, 8165658281305125278ULL, 18, 5},
+  };
+  for (const ReadBoundCase& c : cases) {
+    QuantizedEngineConfig cfg;
+    cfg.tile_rows = c.tile_rows;
+    cfg.tile_cols = c.tile_cols;
+    cfg.levels = 16;
+    cfg.adc.bits = c.adc_bits;
+    cfg.abft.enabled = true;
+    const std::int64_t cells = 2 * c.out * c.in;
+    const auto seed = static_cast<std::uint64_t>(c.out);
+    const std::int64_t batch = 9;
+    const Tensor x = random_tensor(Shape{batch, c.in}, 100 + static_cast<std::uint64_t>(c.in));
+    for (const KernelLevel level : runnable_levels()) {
+      for (const int threads : {1, 3}) {
+        LevelGuard lg(level);
+        ThreadGuard tg(threads);
+        QuantizedCrossbarEngine engine(random_tensor(Shape{c.out, c.in}, 50 + seed), cfg);
+        Rng rng(static_cast<std::uint64_t>(c.in));
+        if (c.device_die) {
+          engine.apply_device_defects(StuckAtFaultModel(0.02), /*master_seed=*/11, seed);
+        } else {
+          engine.apply_defect_map(DefectMap::sample(cells, StuckAtFaultModel(0.02), rng));
+        }
+        engine.abft_rebaseline();
+        engine.apply_defect_map(DefectMap::sample(cells, StuckAtFaultModel(0.01), rng));
+        if (c.device_die) {
+          engine.apply_device_defects(StuckAtFaultModel(0.005), /*master_seed=*/12, seed);
+        }
+        std::vector<float> y(static_cast<std::size_t>(batch * c.out));
+        engine.mvm_batch(x.data(), batch, y.data());
+        const abft::TileFaultReport rep = engine.take_abft_report();
+        const std::string where = "out=" + std::to_string(c.out) + " adc=" +
+                                  std::to_string(c.adc_bits) + " device=" +
+                                  std::to_string(c.device_die) + " level=" +
+                                  std::to_string(static_cast<int>(level)) +
+                                  " threads=" + std::to_string(threads);
+        EXPECT_EQ(digest(y), c.digest) << where;
+        EXPECT_EQ(rep.checks, c.checks) << where;
+        EXPECT_EQ(rep.mismatches, c.mismatches) << where;
+      }
+    }
+  }
+}
+
+TEST(AbftQuantized, ClipVetoScansOnlyComputedColumns) {
+  // One worker, so both engines read their column sums from the same arena
+  // slot. The wide call leaves large sums in every column of a 128-column
+  // tile; the narrow engine maps 2 outputs (4 columns), so its kernel leaves
+  // those stale sums in columns 16..127. Its residual is out of tolerance
+  // and no computed column clips: the sample must count as a mismatch. A
+  // clip veto that scanned the stale columns would see them saturate and
+  // veto the check instead.
+  ThreadGuard tg(1);
+  QuantizedEngineConfig cfg;
+  cfg.tile_rows = 64;
+  cfg.tile_cols = 128;
+  cfg.levels = 16;
+  cfg.adc.bits = 8;
+  cfg.abft.enabled = true;
+  const std::int64_t in = 64, batch = 4;
+  QuantizedCrossbarEngine wide(random_tensor(Shape{64, in}, 41), cfg);
+  const std::vector<float> ones(static_cast<std::size_t>(batch * in), 1.0f);
+  std::vector<float> y_wide(static_cast<std::size_t>(batch * 64));
+  wide.mvm_batch(ones.data(), batch, y_wide.data());
+  (void)wide.take_abft_report();
+
+  // Rows 0..3 hold zero weights (level 0 in every cell and checksum digit),
+  // and every sample drives them at full scale. Stuck-on faults on those rows
+  // after the baseline, one per data column, move the residual by 4 * 127 *
+  // 15 while each faulted column stays far below its clip level.
+  Tensor w = random_tensor(Shape{2, in}, 42);
+  for (std::int64_t o = 0; o < 2; ++o) {
+    for (std::int64_t i = 0; i < 4; ++i) w[o * in + i] = 0.0f;
+  }
+  QuantizedCrossbarEngine narrow(w, cfg);
+  narrow.apply_defect_map(DefectMap::from_faults(2 * 2 * in, {{2 * (0 * in + 0), FaultType::kStuckOn},
+                                                             {2 * (0 * in + 1) + 1, FaultType::kStuckOn},
+                                                             {2 * (1 * in + 2), FaultType::kStuckOn},
+                                                             {2 * (1 * in + 3) + 1, FaultType::kStuckOn}}));
+  Tensor x = random_tensor(Shape{batch, in}, 43, 0.05f);
+  for (std::int64_t b = 0; b < batch; ++b) {
+    for (std::int64_t i = 0; i < 4; ++i) x[b * in + i] = 1.0f;
+  }
+  std::vector<float> y(static_cast<std::size_t>(batch * 2));
+  narrow.mvm_batch(x.data(), batch, y.data());
+  const abft::TileFaultReport rep = narrow.take_abft_report();
+  EXPECT_EQ(rep.checks, batch);
+  EXPECT_EQ(rep.mismatches, batch);
+  EXPECT_EQ(digest(y), 7475633874908122677ULL);
 }
 
 }  // namespace

@@ -1,7 +1,12 @@
 // Model-level quantized deployment:
 //   * QuantDeploy — hook install/uninstall lifecycle (dtor, clone-drop,
 //     training-path bypass), Linear/Conv2d eval forwards routed through the
-//     engines, and the model-cell-space defect map plumbing;
+//     engines, non-finite activations that poison only the outputs they
+//     reach, and the model-cell-space defect map plumbing;
+//   * QuantConvLowering — the engine's per-image int8 conv, and MvmHook's
+//     default staging for hooks that implement only mvm_batch, against the
+//     manual lowering, bit for bit with equal ABFT tallies, over a geometry
+//     x ABFT x ADC x die x threads x kernel grid;
 //   * QuantEval   — evaluate_under_defects on the kQuantized engine:
 //     thread-count bit-identity and the zero-fault-rate accuracy criterion
 //     (within 1% of the float path at >= 16 levels / 8-bit ADC);
@@ -11,7 +16,9 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/common/parallel.hpp"
@@ -29,11 +36,13 @@
 #include "src/reram/qinfer/deploy.hpp"
 #include "src/serve/replica_pool.hpp"
 #include "src/tensor/im2col.hpp"
+#include "src/tensor/kernels/dispatch.hpp"
 #include "test_util.hpp"
 
 namespace ftpim {
 namespace {
 
+using kernels::KernelLevel;
 using qinfer::QuantizedEngineConfig;
 using testing::random_tensor;
 
@@ -42,6 +51,18 @@ struct ThreadOverride {
   explicit ThreadOverride(int n) { set_num_threads(n); }
   ~ThreadOverride() { set_num_threads(0); }
 };
+
+/// Pins the dispatch level for a scope; restores the ambient default on exit.
+struct LevelGuard {
+  explicit LevelGuard(KernelLevel level) { kernels::set_kernel_level(level); }
+  ~LevelGuard() { kernels::clear_kernel_level_override(); }
+};
+
+std::vector<KernelLevel> runnable_levels() {
+  std::vector<KernelLevel> levels = {KernelLevel::kScalar};
+  if (kernels::avx2_available()) levels.push_back(KernelLevel::kAvx2);
+  return levels;
+}
 
 /// 8x8 4-class synthetic vision set (matches the integration-test scale).
 std::unique_ptr<InMemoryDataset> tiny_data(std::int64_t samples, std::uint64_t stream) {
@@ -153,43 +174,69 @@ TEST(QuantDeploy, RedeployReplacesHookSafely) {
   EXPECT_EQ(lin->mvm_hook(), nullptr);
 }
 
-TEST(QuantDeploy, ConvEvalForwardMatchesManualLowering) {
-  Rng rng(23);
+TEST(QuantDeploy, NonFiniteLinearInputPoisonsOnlyItsRow) {
+  Rng rng(17);
   Sequential net;
-  net.emplace<Conv2d>(2, 5, 3, 1, 1, rng, /*with_bias=*/false);
+  net.emplace<Linear>(4, 3, rng, /*with_bias=*/true);
   const auto deployment = qinfer::deploy_quantized(net, deploy_config());
-  ASSERT_EQ(deployment->layer_count(), 1u);
+  const Tensor x = random_tensor(Shape{2, 4}, 18);
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity()}) {
+    Tensor x_bad = x;
+    Tensor x_zero = x;
+    x_bad[1] = bad;  // row 0, feature 1
+    x_zero[1] = 0.0f;
+    const Tensor y_bad = net.forward(x_bad, /*training=*/false);
+    const Tensor y_zero = net.forward(x_zero, /*training=*/false);
+    for (std::int64_t o = 0; o < 3; ++o) EXPECT_TRUE(std::isnan(y_bad[o])) << "bad=" << bad;
+    // The scale ignores the bad value, so its batchmate keeps every bit.
+    EXPECT_EQ(std::memcmp(y_bad.data() + 3, y_zero.data() + 3, 3 * sizeof(float)), 0)
+        << "bad=" << bad;
+  }
+}
 
-  const std::int64_t H = 6, W = 6;
-  const Tensor x = random_tensor(Shape{2, 2, H, W}, 29);
-  const Tensor got = net.forward(x, /*training=*/false);
-
-  // Manual lowering: im2col -> transpose to [pixels, patch] -> engine GEMM
-  // -> transpose back. Must agree EXACTLY with the hooked forward (same
-  // integer datapath, same per-image batching).
-  ConvGeometry g;
-  g.in_c = 2;
-  g.in_h = H;
-  g.in_w = W;
-  g.kernel_h = g.kernel_w = 3;
-  g.pad_h = g.pad_w = 1;
-  const std::int64_t patch = g.col_rows(), pixels = g.col_cols();
-  std::vector<float> col(static_cast<std::size_t>(patch * pixels));
-  std::vector<float> patches(static_cast<std::size_t>(pixels * patch));
-  std::vector<float> yb(static_cast<std::size_t>(pixels * 5));
-  for (std::int64_t img = 0; img < 2; ++img) {
-    im2col(x.data() + img * 2 * H * W, g, col.data());
-    for (std::int64_t p = 0; p < patch; ++p) {
-      for (std::int64_t q = 0; q < pixels; ++q) {
-        patches[static_cast<std::size_t>(q * patch + p)] =
-            col[static_cast<std::size_t>(p * pixels + q)];
-      }
-    }
-    deployment->engine(0).mvm_batch(patches.data(), pixels, yb.data());
-    for (std::int64_t o = 0; o < 5; ++o) {
-      for (std::int64_t q = 0; q < pixels; ++q) {
-        ASSERT_EQ(got[(img * 5 + o) * pixels + q], yb[static_cast<std::size_t>(q * 5 + o)])
-            << "img=" << img << " o=" << o << " q=" << q;
+TEST(QuantDeploy, NonFiniteConvInputPoisonsOnlyCoveringPixels) {
+  struct Case {
+    std::int64_t kernel, stride, pad, bad_y, bad_x;
+  };
+  // A 3x3 window over an interior pixel, and a 1x1 stride-2 conv whose
+  // windows never read the bad pixel.
+  for (const Case c : {Case{3, 1, 1, 2, 4}, Case{1, 2, 0, 1, 3}}) {
+    Rng rng(21);
+    Sequential net;
+    net.emplace<Conv2d>(2, 5, c.kernel, c.stride, c.pad, rng, /*with_bias=*/true);
+    const auto deployment = qinfer::deploy_quantized(net, deploy_config());
+    const std::int64_t H = 6, W = 6;
+    const Tensor x = random_tensor(Shape{2, 2, H, W}, 22);
+    const std::int64_t bad_index = (0 * 2 + 1) * H * W + c.bad_y * W + c.bad_x;  // image 0, channel 1
+    for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity()}) {
+      Tensor x_bad = x;
+      Tensor x_zero = x;
+      x_bad[bad_index] = bad;
+      x_zero[bad_index] = 0.0f;
+      const Tensor y_bad = net.forward(x_bad, /*training=*/false);
+      const Tensor y_zero = net.forward(x_zero, /*training=*/false);
+      const std::int64_t oh = y_bad.dim(2), ow = y_bad.dim(3);
+      for (std::int64_t img = 0; img < 2; ++img) {
+        for (std::int64_t o = 0; o < 5; ++o) {
+          for (std::int64_t oy = 0; oy < oh; ++oy) {
+            for (std::int64_t ox = 0; ox < ow; ++ox) {
+              const std::int64_t ky = c.bad_y - (oy * c.stride - c.pad);
+              const std::int64_t kx = c.bad_x - (ox * c.stride - c.pad);
+              const bool covers =
+                  img == 0 && ky >= 0 && ky < c.kernel && kx >= 0 && kx < c.kernel;
+              const std::int64_t at = ((img * 5 + o) * oh + oy) * ow + ox;
+              if (covers) {
+                EXPECT_TRUE(std::isnan(y_bad[at])) << "k=" << c.kernel << " at=" << at;
+              } else {
+                EXPECT_EQ(std::memcmp(y_bad.data() + at, y_zero.data() + at, sizeof(float)), 0)
+                    << "k=" << c.kernel << " bad=" << bad << " at=" << at;
+              }
+            }
+          }
+        }
       }
     }
   }
@@ -233,6 +280,187 @@ TEST(QuantDeploy, ModelCellSpaceDefectMapSlicesPerLayer) {
   EXPECT_EQ(deployment->stuck_cells(), 0);
   EXPECT_TRUE(deployment->engine(0).read_back().allclose(clean0, 0.0f, 0.0f));
 }
+
+// ---------------------------------------------------------------------------
+// QuantConvLowering — the engine's per-image int8 conv against its oracle,
+// MvmHook's default staging (im2col, transpose, mvm_batch, transpose back),
+// over a geometry grid.
+
+struct ConvCase {
+  std::int64_t kernel, stride, pad;
+  bool uncovered_max;  ///< plant the largest |x| on a pixel no window reads
+};
+
+/// ctest names each instance after this (e.g. .../k3s1p1).
+void PrintTo(const ConvCase& c, std::ostream* os) {
+  *os << "k" << c.kernel << "s" << c.stride << "p" << c.pad
+      << (c.uncovered_max ? "_uncovered_max" : "");
+}
+
+std::vector<ConvCase> conv_cases() {
+  std::vector<ConvCase> cases;
+  for (const std::int64_t k : {1, 3, 5}) {
+    for (const std::int64_t s : {1, 2}) {
+      for (const std::int64_t p : {0, 1, 2}) cases.push_back({k, s, p, false});
+    }
+  }
+  cases.push_back({1, 2, 0, true});
+  return cases;
+}
+
+/// The oracle: the staging that MvmHook::conv_image runs by default.
+std::vector<float> lower_through_mvm_batch(const qinfer::QuantizedCrossbarEngine& engine,
+                                           const Tensor& x, const ConvGeometry& g) {
+  const std::int64_t n = x.dim(0), patch = g.col_rows(), pixels = g.col_cols();
+  const std::int64_t out = engine.out_features();
+  std::vector<float> col(static_cast<std::size_t>(patch * pixels));
+  std::vector<float> patches(static_cast<std::size_t>(pixels * patch));
+  std::vector<float> yb(static_cast<std::size_t>(pixels * out));
+  std::vector<float> y(static_cast<std::size_t>(n * out * pixels));
+  for (std::int64_t img = 0; img < n; ++img) {
+    im2col(x.data() + img * g.in_c * g.in_h * g.in_w, g, col.data());
+    for (std::int64_t r = 0; r < patch; ++r) {
+      for (std::int64_t q = 0; q < pixels; ++q) {
+        patches[static_cast<std::size_t>(q * patch + r)] =
+            col[static_cast<std::size_t>(r * pixels + q)];
+      }
+    }
+    engine.mvm_batch(patches.data(), pixels, yb.data());
+    for (std::int64_t o = 0; o < out; ++o) {
+      for (std::int64_t q = 0; q < pixels; ++q) {
+        y[static_cast<std::size_t>((img * out + o) * pixels + q)] =
+            yb[static_cast<std::size_t>(q * out + o)];
+      }
+    }
+  }
+  return y;
+}
+
+void expect_same_tallies(const abft::TileFaultReport& got, const abft::TileFaultReport& want,
+                         const std::string& where) {
+  EXPECT_EQ(got.checks, want.checks) << where;
+  EXPECT_EQ(got.mismatches, want.mismatches) << where;
+  ASSERT_EQ(got.tiles.size(), want.tiles.size()) << where;
+  for (std::size_t t = 0; t < got.tiles.size(); ++t) {
+    EXPECT_EQ(got.tiles[t].row_tile, want.tiles[t].row_tile) << where;
+    EXPECT_EQ(got.tiles[t].col_tile, want.tiles[t].col_tile) << where;
+    EXPECT_EQ(got.tiles[t].mismatches, want.tiles[t].mismatches) << where;
+  }
+}
+
+/// A hook that implements only mvm_batch, so convolutions take
+/// MvmHook::conv_image's default staging.
+class BatchOnlyHook final : public MvmHook {
+ public:
+  explicit BatchOnlyHook(const qinfer::QuantizedCrossbarEngine& engine) : engine_(engine) {}
+  void mvm_batch(const float* x, std::int64_t batch, float* y) const override {
+    engine_.mvm_batch(x, batch, y);
+  }
+  [[nodiscard]] std::int64_t in_features() const noexcept override {
+    return engine_.in_features();
+  }
+  [[nodiscard]] std::int64_t out_features() const noexcept override {
+    return engine_.out_features();
+  }
+
+ private:
+  const qinfer::QuantizedCrossbarEngine& engine_;
+};
+
+class QuantConvLowering : public ::testing::TestWithParam<ConvCase> {};
+
+TEST_P(QuantConvLowering, MatchesManualLowering) {
+  const ConvCase cc = GetParam();
+  // Odd patch lengths (3, 27, 75) spread over 2 row tiles, the last one odd;
+  // 24 outputs over 20-output tiles leave the second column tile mostly
+  // unmapped, so the read bound skips panels there.
+  const std::int64_t in_c = 3, out_c = 24, H = 7, W = 6;
+  const std::int64_t patch = in_c * cc.kernel * cc.kernel;
+  ConvGeometry g;
+  g.in_c = in_c;
+  g.in_h = H;
+  g.in_w = W;
+  g.kernel_h = g.kernel_w = cc.kernel;
+  g.stride_h = g.stride_w = cc.stride;
+  g.pad_h = g.pad_w = cc.pad;
+  const std::int64_t pixels = g.col_cols();
+
+  Tensor x = random_tensor(Shape{2, in_c, H, W}, 30 + static_cast<std::uint64_t>(patch));
+  if (cc.uncovered_max) {
+    // Stride 2, pad 0, 1x1: windows read even rows and columns only.
+    for (std::int64_t i = 0; i < 2 * in_c; ++i) x[i * H * W + 1 * W + 1] = 100.0f;
+  }
+  for (const bool abft_on : {false, true}) {
+    for (const int adc_bits : {0, 8}) {
+      for (const bool device_die : {false, true}) {
+        const std::string where = "abft=" + std::to_string(abft_on) +
+                                  " adc=" + std::to_string(adc_bits) +
+                                  " device=" + std::to_string(device_die);
+        Rng rng(40 + static_cast<std::uint64_t>(patch));
+        Sequential net;
+        auto& conv = net.emplace<Conv2d>(in_c, out_c, cc.kernel, cc.stride, cc.pad, rng);
+        QuantizedEngineConfig config = deploy_config(/*levels=*/16, adc_bits);
+        config.tile_rows = ((patch + 1) / 2 + 1) & ~std::int64_t{1};
+        config.tile_cols = 40;
+        config.abft.enabled = abft_on;
+        const auto deployment = qinfer::deploy_quantized(net, config);
+        const qinfer::QuantizedCrossbarEngine& engine = deployment->engine(0);
+        ASSERT_EQ(engine.row_tile_count(), 2);
+        ASSERT_EQ(engine.col_tile_count(), 2);
+        const std::int64_t cells = deployment->cell_count();
+        Rng fault_rng(7);
+        if (device_die) {
+          // Also faults unmapped and checksum cells.
+          deployment->apply_device_defects(StuckAtFaultModel(0.03), /*master_seed=*/5, 0);
+        } else {
+          deployment->apply_defect_map(DefectMap::sample(cells, StuckAtFaultModel(0.03), fault_rng));
+        }
+        if (abft_on) {
+          // Faults after the baseline ring, so the tallies carry mismatches.
+          deployment->abft_rebaseline();
+          deployment->apply_defect_map(DefectMap::sample(cells, StuckAtFaultModel(0.01), fault_rng));
+        }
+        const std::vector<float> want = lower_through_mvm_batch(engine, x, g);
+        const auto want_tallies =
+            abft_on ? deployment->take_abft_reports() : std::vector<abft::TileFaultReport>{};
+
+        for (const KernelLevel level : runnable_levels()) {
+          for (const int threads : {1, 4}) {
+            LevelGuard lg(level);
+            ThreadOverride tg(threads);
+            const std::string at = where + " level=" + std::to_string(static_cast<int>(level)) +
+                                   " threads=" + std::to_string(threads);
+            // Through Conv2d (images in parallel) ...
+            const Tensor got = net.forward(x, /*training=*/false);
+            ASSERT_EQ(got.numel(), static_cast<std::int64_t>(want.size()));
+            EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size() * sizeof(float)), 0) << at;
+            if (abft_on) expect_same_tallies(deployment->take_abft_reports()[0], want_tallies[0], at);
+            // ... and image by image (output pixels in parallel).
+            std::vector<float> direct(want.size());
+            for (std::int64_t img = 0; img < 2; ++img) {
+              conv.mvm_hook()->conv_image(x.data() + img * in_c * H * W, g,
+                                          direct.data() + img * out_c * pixels);
+            }
+            EXPECT_EQ(std::memcmp(direct.data(), want.data(), want.size() * sizeof(float)), 0)
+                << at;
+            if (abft_on) expect_same_tallies(deployment->take_abft_reports()[0], want_tallies[0], at);
+            // ... and through the default staging of a hook without conv_image.
+            const BatchOnlyHook batch_only(engine);
+            for (std::int64_t img = 0; img < 2; ++img) {
+              batch_only.conv_image(x.data() + img * in_c * H * W, g,
+                                    direct.data() + img * out_c * pixels);
+            }
+            EXPECT_EQ(std::memcmp(direct.data(), want.data(), want.size() * sizeof(float)), 0)
+                << at;
+            if (abft_on) expect_same_tallies(deployment->take_abft_reports()[0], want_tallies[0], at);
+          }
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Geometries, QuantConvLowering, ::testing::ValuesIn(conv_cases()));
 
 // ---------------------------------------------------------------------------
 // QuantEval

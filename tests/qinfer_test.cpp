@@ -105,10 +105,12 @@ std::vector<std::uint8_t> random_levels(std::int64_t k, std::int64_t n, int leve
 }
 
 TEST(QuantKernel, MatchesNaiveReferenceAcrossShapes) {
-  // Edge cases on every axis: n below/at/off the 16-wide panel, odd k
-  // (exercises the zero-padded last pair), k = 1, single row, tall m.
+  // Edge cases on every axis: n below/at/off the 16-wide panel (a last
+  // panel of 8 valid columns or fewer behind a full one shares its pass),
+  // odd k (exercises the zero-padded last pair), k = 1, single row, tall m.
   const QShape shapes[] = {{1, 16, 2},  {4, 16, 8},  {5, 33, 7},  {3, 7, 5},
-                           {8, 48, 128}, {2, 16, 1}, {7, 1, 9},   {6, 31, 64}};
+                           {8, 48, 128}, {2, 16, 1}, {7, 1, 9},   {6, 31, 64},
+                           {9, 24, 11},  {5, 25, 6},  {6, 40, 13}, {3, 131, 128}};
   for (const KernelLevel level : runnable_levels()) {
     const kernels::QmvmKernel kern = kernels::select_qmvm_kernel(level);
     for (const QShape& s : shapes) {
