@@ -25,7 +25,7 @@ namespace ftpim::bench {
 ///   { "bench": "<name>", "<meta>": ..., "points": [ {...}, ... ] }
 ///
 /// so perf trajectories can be diffed across commits (BENCH_gemm.json,
-/// BENCH_serve.json are committed artifacts — see DESIGN.md §11). Values are
+/// BENCH_qgemm.json are committed artifacts — see DESIGN.md §11). Values are
 /// either numbers or strings; no nesting beyond the points array.
 class BenchJsonWriter {
  public:

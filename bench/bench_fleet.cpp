@@ -6,7 +6,7 @@
 // mean lifetime, maintenance bill per policy on bit-identical devices); the
 // JSON artifact records the perf trajectory — wall seconds and device-ticks
 // per second per policy — so fleet-scale regressions show up in diffs
-// (BENCH_fleet.json is a committed artifact like BENCH_serve.json).
+// (BENCH_fleet.json is a committed artifact like BENCH_gemm.json).
 #include <cstdio>
 #include <memory>
 #include <string>

@@ -97,7 +97,7 @@ int main() {
   }
   std::printf("\n%s\n", table.render(0, 2).c_str());
   std::printf("cost = repairs x %.0f + scrubs x %.0f (device swaps vs re-programming)\n\n",
-              RepairPolicyConfig{}.repair_cost, RepairPolicyConfig{}.scrub_cost);
+              kRepairCost, kScrubCost);
 
   // --- Crash-safe sweeps: kill at half the horizon, resume, compare --------
   const std::filesystem::path dir =

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 #include <thread>
 #include <vector>
 
@@ -60,19 +61,45 @@ void parallel_for_chunks(std::size_t begin, std::size_t end,
     return;
   }
   const std::size_t nthreads = std::min<std::size_t>(static_cast<std::size_t>(workers), trip);
-  std::vector<std::thread> threads;
+  // Each worker parks its exception in its own slot next to its thread
+  // handle; the slots never move because the vector is reserved up front.
+  struct Worker {
+    std::thread thread;
+    std::exception_ptr error;
+  };
+  std::vector<Worker> threads;
   threads.reserve(nthreads);
+  const auto join_all = [&threads] {
+    for (Worker& w : threads) {
+      if (w.thread.joinable()) w.thread.join();
+    }
+  };
   const std::size_t chunk = (trip + nthreads - 1) / nthreads;
-  for (std::size_t t = 0; t < nthreads; ++t) {
-    const std::size_t lo = begin + t * chunk;
-    const std::size_t hi = std::min(end, lo + chunk);
-    if (lo >= hi) break;
-    threads.emplace_back([lo, hi, &fn] {
-      t_in_worker = true;
-      fn(lo, hi);
-    });
+  try {
+    for (std::size_t t = 0; t < nthreads; ++t) {
+      const std::size_t lo = begin + t * chunk;
+      const std::size_t hi = std::min(end, lo + chunk);
+      if (lo >= hi) break;
+      Worker& w = threads.emplace_back();
+      w.thread = std::thread([lo, hi, &fn, &w] {
+        t_in_worker = true;
+        try {
+          fn(lo, hi);
+        } catch (...) {
+          w.error = std::current_exception();
+        }
+      });
+    }
+  } catch (...) {
+    join_all();  // a failed spawn must not leave running workers behind
+    throw;
   }
-  for (auto& th : threads) th.join();
+  join_all();
+  // Chunks are contiguous and each stops at its first failure, so the lowest
+  // chunk's exception is the one a one-thread run would have thrown.
+  for (const Worker& w : threads) {
+    if (w.error) std::rethrow_exception(w.error);
+  }
 }
 
 }  // namespace ftpim

@@ -37,6 +37,11 @@ void set_num_threads(int n) noexcept;
 /// min_parallel_trip, only one worker is configured, or the caller is itself
 /// a worker (no nested parallelism). Coarse per-index bodies (one image per
 /// index) pass min_parallel_trip = 2.
+///
+/// An exception thrown by fn reaches the caller as it would at one thread:
+/// every started worker is joined first, then the lowest chunk's exception
+/// is rethrown. A body that stops at its first failing index therefore
+/// reports the lowest failing index at any thread count.
 void parallel_for_chunks(std::size_t begin, std::size_t end,
                          const std::function<void(std::size_t, std::size_t)>& fn,
                          std::size_t min_parallel_trip = 1024);

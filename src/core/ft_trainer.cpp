@@ -53,7 +53,7 @@ std::vector<double> default_progressive_ramp(double target_p_sa) {
 std::vector<std::uint8_t> encode_ft_config_echo(const FtTrainConfig& config,
                                                 const std::vector<double>& stage_rates) {
   ByteWriter out;
-  out.u32(1);  // echo layout version
+  out.u32(2);  // echo layout version
   const TrainConfig& base = config.base;
   out.i64(base.epochs);
   out.i64(base.batch_size);
@@ -62,7 +62,6 @@ std::vector<std::uint8_t> encode_ft_config_echo(const FtTrainConfig& config,
   out.f32(base.sgd.weight_decay);
   out.f32(base.sgd.grad_clip);
   out.u8(base.cosine_lr ? 1 : 0);
-  out.f32(base.label_smoothing);
   out.i64(base.augment.crop_pad);
   out.u8(base.augment.hflip ? 1 : 0);
   out.u8(base.augment.enabled ? 1 : 0);
@@ -79,8 +78,6 @@ std::vector<std::uint8_t> encode_ft_config_echo(const FtTrainConfig& config,
   out.f32(config.injector.range.g_min);
   out.f32(config.injector.range.g_max);
   out.i64(config.injector.quant_levels);
-  out.u8(config.injector.per_tensor_wmax ? 1 : 0);
-  out.f32(config.injector.fixed_wmax);
   out.u64(config.fault_seed);
   out.u64(stage_rates.size());
   for (const double rate : stage_rates) out.f64(rate);

@@ -2,6 +2,7 @@
 
 #include "src/common/logging.hpp"
 #include "src/common/timer.hpp"
+#include "src/optim/lr_scheduler.hpp"
 
 namespace ftpim {
 
@@ -9,18 +10,14 @@ Trainer::Trainer(Module& model, const Dataset& train_data, TrainConfig config)
     : model_(model),
       train_data_(train_data),
       config_(config),
-      loader_(train_data, config.batch_size, /*shuffle=*/true, config.seed, config.augment),
-      loss_(config.label_smoothing) {
+      loader_(train_data, config.batch_size, /*shuffle=*/true, config.seed, config.augment) {
   optimizer_ = std::make_unique<Sgd>(parameters_of(model_), config_.sgd);
-  if (config_.cosine_lr) {
-    schedule_ = std::make_unique<CosineSchedule>(config_.sgd.lr, config_.sgd.lr * 1e-3f);
-  } else {
-    schedule_ = std::make_unique<ConstantSchedule>(config_.sgd.lr);
-  }
 }
 
 float Trainer::run_epoch(int epoch, int total_epochs) {
-  optimizer_->set_lr(schedule_->lr_at(epoch, total_epochs));
+  optimizer_->set_lr(config_.cosine_lr ? cosine_annealed_lr(config_.sgd.lr, config_.sgd.lr * 1e-3f,
+                                                            epoch, total_epochs)
+                                       : config_.sgd.lr);
   loader_.start_epoch(epoch);
   const std::int64_t batches = loader_.batches_per_epoch();
   double loss_sum = 0.0;

@@ -12,7 +12,6 @@
 #include "src/data/dataset.hpp"
 #include "src/nn/loss.hpp"
 #include "src/nn/module.hpp"
-#include "src/optim/lr_scheduler.hpp"
 #include "src/optim/sgd.hpp"
 
 namespace ftpim {
@@ -34,7 +33,6 @@ struct TrainConfig {
   std::int64_t batch_size = 64;
   SgdConfig sgd{.lr = 0.1f, .momentum = 0.9f, .weight_decay = 5e-4f, .grad_clip = 5.0f};
   bool cosine_lr = true;       ///< else constant at sgd.lr
-  float label_smoothing = 0.0f;
   AugmentConfig augment{.crop_pad = 2, .hflip = true, .enabled = true};
   std::uint64_t seed = 1234;
   bool verbose = false;
@@ -42,9 +40,6 @@ struct TrainConfig {
 
 struct TrainStats {
   std::vector<float> epoch_losses;
-  [[nodiscard]] float final_loss() const {
-    return epoch_losses.empty() ? 0.0f : epoch_losses.back();
-  }
 };
 
 class Trainer {
@@ -75,7 +70,6 @@ class Trainer {
   DataLoader loader_;
   SoftmaxCrossEntropy loss_;
   std::unique_ptr<Sgd> optimizer_;
-  std::unique_ptr<LrSchedule> schedule_;
   TrainHooks hooks_;
 };
 

@@ -93,11 +93,11 @@ std::unique_ptr<InMemoryDataset> make_synthvision(const SynthVisionConfig& confi
     float phase[2], dtheta[2], dcx[2], dcy[2];
     for (int g = 0; g < 2; ++g) {
       phase[g] = rng.uniform(0.0f, kTwoPi);
-      dtheta[g] = config.jitter * rng.normal(0.0f, 0.2f);
+      dtheta[g] = rng.normal(0.0f, 0.2f);
     }
     for (int b = 0; b < 2; ++b) {
-      dcx[b] = config.jitter * rng.normal(0.0f, 0.08f);
-      dcy[b] = config.jitter * rng.normal(0.0f, 0.08f);
+      dcx[b] = rng.normal(0.0f, 0.08f);
+      dcy[b] = rng.normal(0.0f, 0.08f);
     }
     const float gain = 1.0f + 0.2f * rng.normal();
 
@@ -129,7 +129,7 @@ std::unique_ptr<InMemoryDataset> make_synthvision(const SynthVisionConfig& confi
     }
     data->add(std::move(img), cls);
   }
-  if (config.normalize) data->normalize_channels();
+  data->normalize_channels();
   return data;
 }
 

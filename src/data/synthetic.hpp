@@ -5,7 +5,8 @@
 // conv/BN/residual training pipeline: each class owns a seeded generator
 // producing a mixture of oriented sinusoidal gratings and Gaussian blobs with
 // class-specific frequencies, orientations, palettes and blob layouts; each
-// sample adds per-sample phase/position jitter, global gain, and pixel noise.
+// sample adds per-sample phase/position jitter, global gain, and pixel noise,
+// and the finished dataset is normalized per channel.
 // Classes are separable but require non-linear features (a linear probe does
 // markedly worse than a CNN), so accuracy-vs-fault-rate curves show the same
 // qualitative collapse-and-rescue shape as real CIFAR.
@@ -24,8 +25,6 @@ struct SynthVisionConfig {
   std::int64_t samples = 1024;
   std::uint64_t seed = 7;        ///< class prototypes derive from this
   float noise_std = 0.6f;        ///< per-pixel Gaussian noise
-  float jitter = 1.0f;           ///< phase/position jitter magnitude
-  bool normalize = true;         ///< per-channel normalization after generation
 };
 
 /// Generates a dataset. Train/test splits should use the same `seed` (same

@@ -95,8 +95,6 @@ void FleetConfig::encode(ByteWriter& out) const {
   out.f64(policy_config.repair_below);
   out.i64(policy_config.refresh_every_ticks);
   out.u32(static_cast<std::uint32_t>(policy_config.max_scrub_retries));
-  out.f64(policy_config.repair_cost);
-  out.f64(policy_config.scrub_cost);
   out.i64(quantized.tile_rows);
   out.i64(quantized.tile_cols);
   out.f32(quantized.range.g_min);
@@ -107,8 +105,6 @@ void FleetConfig::encode(ByteWriter& out) const {
   out.f32(injector.range.g_min);
   out.f32(injector.range.g_max);
   out.u32(static_cast<std::uint32_t>(injector.quant_levels));
-  out.u8(injector.per_tensor_wmax ? 1 : 0);
-  out.f32(injector.fixed_wmax);
 }
 
 DeviceProfile draw_profile(const FleetConfig& config, int device) {

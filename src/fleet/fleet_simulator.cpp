@@ -1,6 +1,5 @@
 #include "src/fleet/fleet_simulator.hpp"
 
-#include <exception>
 #include <utility>
 
 #include "src/common/check.hpp"
@@ -19,16 +18,6 @@ constexpr const char* kCursorChunk = "FLCU";
 constexpr const char* kTimelineChunk = "FLTL";
 constexpr const char* kDevicesChunk = "FLDV";
 
-/// parallel_for_chunks workers must not throw (std::thread would terminate),
-/// so every per-device parallel body records its first failure here and the
-/// caller rethrows serially after the join — lowest device index wins, which
-/// keeps even the error surface thread-count-independent.
-void rethrow_first(const std::vector<std::exception_ptr>& errors) {
-  for (const std::exception_ptr& error : errors) {
-    if (error) std::rethrow_exception(error);
-  }
-}
-
 }  // namespace
 
 FleetSimulator::FleetSimulator(const Module& source, const FleetConfig& config) : config_(config) {
@@ -39,21 +28,17 @@ FleetSimulator::FleetSimulator(const Module& source, const FleetConfig& config) 
 
   // Device construction — profile draw, clone, defect injection, deployment
   // — is index-keyed and independent, so it fans out like a tick does.
+  // A failure surfaces as the lowest failing device's exception at any
+  // thread count (parallel_for_chunks' exception rule).
   devices_.resize(static_cast<std::size_t>(config_.num_devices));
-  std::vector<std::exception_ptr> errors(devices_.size());
   parallel_for_chunks(
       0, devices_.size(),
       [&](std::size_t chunk_begin, std::size_t chunk_end) {
         for (std::size_t i = chunk_begin; i < chunk_end; ++i) {
-          try {
-            devices_[i] = std::make_unique<VirtualDevice>(*source_, config_, static_cast<int>(i));
-          } catch (...) {
-            errors[i] = std::current_exception();
-          }
+          devices_[i] = std::make_unique<VirtualDevice>(*source_, config_, static_cast<int>(i));
         }
       },
       /*min_parallel_trip=*/1);
-  rethrow_first(errors);
 }
 
 void FleetSimulator::step() {
@@ -61,20 +46,14 @@ void FleetSimulator::step() {
 
   // Fan out: every device advances independently into its own slot.
   std::vector<DeviceTick> slots(devices_.size());
-  std::vector<std::exception_ptr> errors(devices_.size());
   parallel_for_chunks(
       0, devices_.size(),
       [&](std::size_t chunk_begin, std::size_t chunk_end) {
         for (std::size_t i = chunk_begin; i < chunk_end; ++i) {
-          try {
-            slots[i] = devices_[i]->step(tick, probe_);
-          } catch (...) {
-            errors[i] = std::current_exception();
-          }
+          slots[i] = devices_[i]->step(tick, probe_);
         }
       },
       /*min_parallel_trip=*/1);
-  rethrow_first(errors);
 
   // Reduce serially in device-index order: fixed-order sums, so the
   // aggregate is bit-identical at any thread count.
@@ -119,8 +98,7 @@ std::vector<std::int64_t> FleetSimulator::death_ticks() const {
 }
 
 FleetSummary FleetSimulator::summary() const {
-  return summarize_fleet(timeline_, death_ticks(), config_.policy_config.repair_cost,
-                         config_.policy_config.scrub_cost);
+  return summarize_fleet(timeline_, death_ticks());
 }
 
 void FleetSimulator::maybe_checkpoint() const {
@@ -231,23 +209,17 @@ void FleetSimulator::resume(const std::string& path) {
 
   // ...then device replay (repair generations + aging + transient re-apply,
   // each cross-checked against its map echo) fans out in parallel.
-  std::vector<std::exception_ptr> errors(devices_.size());
   parallel_for_chunks(
       0, devices_.size(),
       [&](std::size_t chunk_begin, std::size_t chunk_end) {
         for (std::size_t i = chunk_begin; i < chunk_end; ++i) {
-          try {
-            ByteReader record(device_bytes.data() + extents[i].offset, extents[i].length,
-                              kDevicesChunk);
-            devices_[i]->restore_state(record);
-            record.expect_done();
-          } catch (...) {
-            errors[i] = std::current_exception();
-          }
+          ByteReader record(device_bytes.data() + extents[i].offset, extents[i].length,
+                            kDevicesChunk);
+          devices_[i]->restore_state(record);
+          record.expect_done();
         }
       },
       /*min_parallel_trip=*/1);
-  rethrow_first(errors);
 
   timeline_ = std::move(timeline);
   next_tick_ = tick;

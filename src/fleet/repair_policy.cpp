@@ -42,8 +42,6 @@ void RepairPolicyConfig::validate() const {
               static_cast<long long>(refresh_every_ticks));
   FTPIM_CHECK(max_scrub_retries >= 0, "repair policy: max_scrub_retries %d must be >= 0",
               max_scrub_retries);
-  FTPIM_CHECK(repair_cost >= 0.0 && scrub_cost >= 0.0,
-              "repair policy: costs (%.2f, %.2f) must be non-negative", repair_cost, scrub_cost);
 }
 
 RepairActionKind decide_repair(RepairPolicyKind kind, const RepairPolicyConfig& config,

@@ -103,13 +103,14 @@ struct RepairPolicyConfig {
   /// detection_driven_scrub: flagged ticks answered with a scrub before the
   /// streak escalates to a repair (mirrors HealthConfig::max_scrub_retries).
   int max_scrub_retries = 3;
-  /// Relative cost units for the policy-comparison table: one repair is
-  /// worth this many scrubs' worth of maintenance budget.
-  double repair_cost = 25.0;
-  double scrub_cost = 1.0;
 
   void validate() const;
 };
+
+/// Relative cost units for the policy-comparison table: one repair is worth
+/// this many scrubs' worth of maintenance budget.
+inline constexpr double kRepairCost = 25.0;
+inline constexpr double kScrubCost = 1.0;
 
 /// The built-in policy `kind` applied to one device's end-of-tick status.
 /// Pure: same inputs -> same action. `config` must be valid

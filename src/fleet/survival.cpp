@@ -4,6 +4,7 @@
 
 #include "src/common/check.hpp"
 #include "src/common/checkpoint.hpp"
+#include "src/fleet/repair_policy.hpp"
 
 namespace ftpim::fleet {
 
@@ -59,8 +60,7 @@ std::vector<double> survival_curve(const std::vector<TickAggregate>& timeline) {
 }
 
 FleetSummary summarize_fleet(const std::vector<TickAggregate>& timeline,
-                             const std::vector<std::int64_t>& death_ticks, double repair_cost,
-                             double scrub_cost) {
+                             const std::vector<std::int64_t>& death_ticks) {
   FleetSummary summary;
   summary.devices = static_cast<int>(death_ticks.size());
   summary.ticks = static_cast<std::int64_t>(timeline.size());
@@ -86,8 +86,8 @@ FleetSummary summarize_fleet(const std::vector<TickAggregate>& timeline,
     summary.scrubs += agg.scrubs;
     summary.detections += agg.detections;
   }
-  summary.total_cost = static_cast<double>(summary.repairs) * repair_cost +
-                       static_cast<double>(summary.scrubs) * scrub_cost;
+  summary.total_cost = static_cast<double>(summary.repairs) * kRepairCost +
+                       static_cast<double>(summary.scrubs) * kScrubCost;
   if (!timeline.empty()) summary.final_acc_p50 = timeline.back().acc_p50;
   return summary;
 }

@@ -67,16 +67,15 @@ struct FleetSummary {
   std::int64_t repairs = 0;
   std::int64_t scrubs = 0;
   std::int64_t detections = 0;
-  /// repairs * repair_cost + scrubs * scrub_cost (RepairPolicyConfig units).
+  /// repairs * kRepairCost + scrubs * kScrubCost (repair_policy.hpp).
   double total_cost = 0.0;
   double final_acc_p50 = 0.0;  ///< last tick's at-risk median accuracy
 };
 
 /// Reduces a timeline (plus the per-device death ticks, -1 = censored) to a
-/// summary. `repair_cost`/`scrub_cost` price the maintenance column.
+/// summary.
 [[nodiscard]] FleetSummary summarize_fleet(const std::vector<TickAggregate>& timeline,
-                                           const std::vector<std::int64_t>& death_ticks,
-                                           double repair_cost, double scrub_cost);
+                                           const std::vector<std::int64_t>& death_ticks);
 
 /// Unicode sparkline of a survival curve (examples render sweeps with it):
 /// one glyph per sampled tick, ▁..█ scaled over [0, 1].

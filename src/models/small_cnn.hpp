@@ -9,8 +9,8 @@
 
 namespace ftpim {
 
+/// Input images have 3 channels.
 struct SmallCnnConfig {
-  std::int64_t in_channels = 3;
   std::int64_t image_size = 16;  ///< square input side; must be divisible by 4
   std::int64_t width = 8;
   std::int64_t classes = 10;

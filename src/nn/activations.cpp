@@ -37,31 +37,6 @@ Tensor ReLU::backward(const Tensor& grad_output) {
 
 std::unique_ptr<Module> ReLU::clone() const { return std::make_unique<ReLU>(); }
 
-Tensor LeakyReLU::forward(const Tensor& input, bool training) {
-  if (training) cached_input_ = input;
-  Tensor out(input.shape());
-  const float* src = input.data();
-  float* dst = out.data();
-  for (std::int64_t i = 0; i < input.numel(); ++i) {
-    dst[i] = src[i] > 0.0f ? src[i] : slope_ * src[i];
-  }
-  return out;
-}
-
-Tensor LeakyReLU::backward(const Tensor& grad_output) {
-  FTPIM_CHECK(!(cached_input_.empty()), "LeakyReLU::backward without training forward");
-  Tensor grad_input(grad_output.shape());
-  const float* dy = grad_output.data();
-  const float* x = cached_input_.data();
-  float* dx = grad_input.data();
-  for (std::int64_t i = 0; i < grad_output.numel(); ++i) {
-    dx[i] = x[i] > 0.0f ? dy[i] : slope_ * dy[i];
-  }
-  return grad_input;
-}
-
-std::unique_ptr<Module> LeakyReLU::clone() const { return std::make_unique<LeakyReLU>(slope_); }
-
 Tensor Tanh::forward(const Tensor& input, bool training) {
   Tensor out(input.shape());
   const float* src = input.data();

@@ -17,19 +17,6 @@ class ReLU final : public Module {
   Tensor cached_mask_;  ///< 1 where input > 0 (training only)
 };
 
-class LeakyReLU final : public Module {
- public:
-  explicit LeakyReLU(float negative_slope = 0.01f) : slope_(negative_slope) {}
-  Tensor forward(const Tensor& input, bool training) override;
-  Tensor backward(const Tensor& grad_output) override;
-  [[nodiscard]] std::unique_ptr<Module> clone() const override;
-  [[nodiscard]] std::string type_name() const override { return "LeakyReLU"; }
-
- private:
-  float slope_;
-  Tensor cached_input_;
-};
-
 class Tanh final : public Module {
  public:
   Tanh() = default;

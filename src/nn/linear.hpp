@@ -27,7 +27,6 @@ class Linear final : public Module {
   [[nodiscard]] std::int64_t out_features() const noexcept { return out_features_; }
   [[nodiscard]] Param& weight() noexcept { return weight_; }
   [[nodiscard]] Param& bias() noexcept { return bias_; }
-  [[nodiscard]] bool has_bias() const noexcept { return with_bias_; }
 
   /// Installs (or, with nullptr, removes) the eval-forward MVM replacement.
   /// The hook's feature extents must match this layer. NOT carried by clone().

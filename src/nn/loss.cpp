@@ -7,11 +7,6 @@
 
 namespace ftpim {
 
-SoftmaxCrossEntropy::SoftmaxCrossEntropy(float label_smoothing)
-    : label_smoothing_(label_smoothing) {
-  FTPIM_CHECK(!(label_smoothing < 0.0f || label_smoothing >= 1.0f), "SoftmaxCrossEntropy: label_smoothing must be in [0,1)");
-}
-
 Tensor softmax_rows(const Tensor& logits) {
   FTPIM_CHECK(!(logits.rank() != 2), "softmax_rows: rank-2 required");
   const std::int64_t n = logits.dim(0), c = logits.dim(1);
@@ -40,21 +35,15 @@ LossResult SoftmaxCrossEntropy::forward(const Tensor& logits,
   FTPIM_CHECK(!(static_cast<std::int64_t>(labels.size()) != n), "SoftmaxCrossEntropy: label count mismatch");
   LossResult result;
   result.grad_logits = softmax_rows(logits);
-  const float off_target = label_smoothing_ / static_cast<float>(c);
-  const float on_target = 1.0f - label_smoothing_ + off_target;
   double loss = 0.0;
   const float inv_n = 1.0f / static_cast<float>(n);
   for (std::int64_t i = 0; i < n; ++i) {
     const std::int64_t y = labels[static_cast<std::size_t>(i)];
     if (y < 0 || y >= c) throw std::out_of_range("SoftmaxCrossEntropy: label out of range");
     float* p = result.grad_logits.data() + i * c;
-    for (std::int64_t j = 0; j < c; ++j) {
-      const float target = (j == y) ? on_target : off_target;
-      if (target > 0.0f) {
-        loss -= static_cast<double>(target) * std::log(std::max(p[j], 1e-12f));
-      }
-      p[j] = (p[j] - target) * inv_n;
-    }
+    loss -= std::log(std::max(p[y], 1e-12f));
+    p[y] -= 1.0f;
+    for (std::int64_t j = 0; j < c; ++j) p[j] *= inv_n;
   }
   result.loss = static_cast<float>(loss / static_cast<double>(n));
   return result;
@@ -64,16 +53,12 @@ float SoftmaxCrossEntropy::loss_only(const Tensor& logits,
                                      const std::vector<std::int64_t>& labels) const {
   const Tensor probs = softmax_rows(logits);
   const std::int64_t n = logits.dim(0), c = logits.dim(1);
-  const float off_target = label_smoothing_ / static_cast<float>(c);
-  const float on_target = 1.0f - label_smoothing_ + off_target;
+  FTPIM_CHECK(!(static_cast<std::int64_t>(labels.size()) != n), "SoftmaxCrossEntropy: label count mismatch");
   double loss = 0.0;
   for (std::int64_t i = 0; i < n; ++i) {
     const std::int64_t y = labels[static_cast<std::size_t>(i)];
-    const float* p = probs.data() + i * c;
-    for (std::int64_t j = 0; j < c; ++j) {
-      const float target = (j == y) ? on_target : off_target;
-      if (target > 0.0f) loss -= static_cast<double>(target) * std::log(std::max(p[j], 1e-12f));
-    }
+    if (y < 0 || y >= c) throw std::out_of_range("SoftmaxCrossEntropy: label out of range");
+    loss -= std::log(std::max(probs.data()[i * c + y], 1e-12f));
   }
   return static_cast<float>(loss / static_cast<double>(n));
 }

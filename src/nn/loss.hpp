@@ -13,11 +13,9 @@ struct LossResult {
   Tensor grad_logits;    ///< d loss / d logits, [N, classes]
 };
 
+/// Mean softmax cross-entropy against one-hot labels.
 class SoftmaxCrossEntropy {
  public:
-  /// label_smoothing in [0,1): standard uniform label smoothing.
-  explicit SoftmaxCrossEntropy(float label_smoothing = 0.0f);
-
   /// logits: [N, classes]; labels: N class indices.
   [[nodiscard]] LossResult forward(const Tensor& logits,
                                    const std::vector<std::int64_t>& labels) const;
@@ -25,9 +23,6 @@ class SoftmaxCrossEntropy {
   /// Loss only (no gradient) — for evaluation.
   [[nodiscard]] float loss_only(const Tensor& logits,
                                 const std::vector<std::int64_t>& labels) const;
-
- private:
-  float label_smoothing_;
 };
 
 /// Numerically-stable row softmax: [N,C] -> [N,C].

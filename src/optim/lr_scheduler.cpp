@@ -6,29 +6,13 @@
 
 namespace ftpim {
 
-CosineSchedule::CosineSchedule(float base_lr, float eta_min)
-    : base_lr_(base_lr), eta_min_(eta_min) {
-  FTPIM_CHECK(!(base_lr <= 0.0f || eta_min < 0.0f || eta_min > base_lr), "CosineSchedule: invalid lr range");
-}
-
-float CosineSchedule::lr_at(int epoch, int total_epochs) const {
-  if (total_epochs <= 1) return base_lr_;
+float cosine_annealed_lr(float base_lr, float eta_min, int epoch, int total_epochs) {
+  FTPIM_CHECK(!(base_lr <= 0.0f || eta_min < 0.0f || eta_min > base_lr),
+              "cosine_annealed_lr: invalid lr range");
+  if (total_epochs <= 1) return base_lr;
   const float t = static_cast<float>(epoch) / static_cast<float>(total_epochs);
-  return eta_min_ +
-         (base_lr_ - eta_min_) * 0.5f * (1.0f + std::cos(3.14159265358979323846f * t));
-}
-
-StepSchedule::StepSchedule(float base_lr, std::vector<int> milestones, float gamma)
-    : base_lr_(base_lr), milestones_(std::move(milestones)), gamma_(gamma) {
-  FTPIM_CHECK(!(base_lr <= 0.0f || gamma <= 0.0f || gamma > 1.0f), "StepSchedule: invalid base_lr/gamma");
-}
-
-float StepSchedule::lr_at(int epoch, int /*total_epochs*/) const {
-  float lr = base_lr_;
-  for (const int m : milestones_) {
-    if (epoch >= m) lr *= gamma_;
-  }
-  return lr;
+  return eta_min +
+         (base_lr - eta_min) * 0.5f * (1.0f + std::cos(3.14159265358979323846f * t));
 }
 
 }  // namespace ftpim

@@ -1,47 +1,11 @@
-// Learning-rate schedules. The paper uses cosine annealing from 0.1.
+// Learning-rate schedule. The paper uses cosine annealing from 0.1.
 #pragma once
-
-#include <vector>
 
 namespace ftpim {
 
-class LrSchedule {
- public:
-  virtual ~LrSchedule() = default;
-  /// LR for 0-based epoch `epoch` of `total_epochs`.
-  [[nodiscard]] virtual float lr_at(int epoch, int total_epochs) const = 0;
-};
-
-/// lr(t) = eta_min + (base - eta_min) * (1 + cos(pi * t / T)) / 2
-class CosineSchedule final : public LrSchedule {
- public:
-  explicit CosineSchedule(float base_lr, float eta_min = 0.0f);
-  [[nodiscard]] float lr_at(int epoch, int total_epochs) const override;
-
- private:
-  float base_lr_, eta_min_;
-};
-
-/// Piecewise-constant decay at given epoch milestones.
-class StepSchedule final : public LrSchedule {
- public:
-  StepSchedule(float base_lr, std::vector<int> milestones, float gamma = 0.1f);
-  [[nodiscard]] float lr_at(int epoch, int total_epochs) const override;
-
- private:
-  float base_lr_;
-  std::vector<int> milestones_;
-  float gamma_;
-};
-
-/// Constant LR (fine-tuning).
-class ConstantSchedule final : public LrSchedule {
- public:
-  explicit ConstantSchedule(float lr) : lr_(lr) {}
-  [[nodiscard]] float lr_at(int, int) const override { return lr_; }
-
- private:
-  float lr_;
-};
+/// LR for 0-based epoch `epoch` of `total_epochs` under cosine annealing:
+/// lr(t) = eta_min + (base - eta_min) * (1 + cos(pi * t / T)) / 2.
+/// Requires base_lr > 0 and 0 <= eta_min <= base_lr.
+[[nodiscard]] float cosine_annealed_lr(float base_lr, float eta_min, int epoch, int total_epochs);
 
 }  // namespace ftpim

@@ -35,7 +35,6 @@ class Sgd {
   /// Attaches a 0/1 mask for a parameter: masked (0) positions receive no
   /// update and are re-zeroed after each step (pruning support).
   void set_mask(const Param* param, Tensor mask);
-  void clear_masks() { masks_.clear(); }
 
   /// Momentum buffers keyed "velocity/<param name>" — the optimizer half of
   /// a training checkpoint (pruning masks are reconstructed by the pruner,

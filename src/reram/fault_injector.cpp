@@ -6,8 +6,7 @@
 namespace ftpim {
 namespace {
 
-float tensor_wmax(const Tensor& weights, const InjectorConfig& config) {
-  if (!config.per_tensor_wmax) return config.fixed_wmax;
+float tensor_wmax(const Tensor& weights) {
   const float m = weights.abs_max();
   return m > 0.0f ? m : 1.0f;  // all-zero tensor: any scale works
 }
@@ -89,11 +88,9 @@ InjectionStats apply_faults_to_copy(const Tensor& src, Tensor& dst,
   config.range.validate();
   FTPIM_CHECK(config.quant_levels == 0 || config.quant_levels >= 2,
               "InjectorConfig: quant_levels must be 0 (analog) or >= 2");
-  FTPIM_CHECK(config.per_tensor_wmax || config.fixed_wmax > 0.0f,
-              "InjectorConfig: fixed_wmax must be positive");
   if (dst.shape() != src.shape()) dst = Tensor(src.shape());
   if (hit_mask != nullptr) reset_like(*hit_mask, src);
-  const DifferentialMapper mapper(config.range, tensor_wmax(src, config));
+  const DifferentialMapper mapper(config.range, tensor_wmax(src));
   const ConductanceQuantizer quant(config.range, config.quant_levels);
   return fault_kernel(src.data(), dst.data(), src.numel(), mapper, quant, config, model, rng,
                       hit_mask != nullptr ? hit_mask->data() : nullptr);
@@ -102,7 +99,7 @@ InjectionStats apply_faults_to_copy(const Tensor& src, Tensor& dst,
 InjectionStats apply_stuck_at_faults(Tensor& weights, const StuckAtFaultModel& model,
                                      const InjectorConfig& config, Rng& rng, Tensor* hit_mask) {
   if (hit_mask != nullptr) reset_like(*hit_mask, weights);
-  const DifferentialMapper mapper(config.range, tensor_wmax(weights, config));
+  const DifferentialMapper mapper(config.range, tensor_wmax(weights));
   const ConductanceQuantizer quant(config.range, config.quant_levels);
   return fault_kernel(weights.data(), weights.data(), weights.numel(), mapper, quant, config,
                       model, rng, hit_mask != nullptr ? hit_mask->data() : nullptr);
@@ -131,8 +128,6 @@ InjectionStats apply_defect_map_to_model(Module& model_root, const DefectMap& ma
   config.range.validate();
   FTPIM_CHECK(config.quant_levels == 0 || config.quant_levels >= 2,
               "InjectorConfig: quant_levels must be 0 (analog) or >= 2");
-  FTPIM_CHECK(config.per_tensor_wmax || config.fixed_wmax > 0.0f,
-              "InjectorConfig: fixed_wmax must be positive");
   std::vector<Param*> params;
   std::int64_t total_cells = 0;
   for (Param* p : parameters_of(model_root)) {
@@ -156,7 +151,7 @@ InjectionStats apply_defect_map_to_model(Module& model_root, const DefectMap& ma
     Tensor& w = p->value;
     const std::int64_t n = w.numel();
     const std::int64_t cell_hi = cell_off + 2 * n;
-    const DifferentialMapper mapper(config.range, tensor_wmax(w, config));
+    const DifferentialMapper mapper(config.range, tensor_wmax(w));
     const ConductanceQuantizer quant(config.range, config.quant_levels);
     faulted_weights.clear();
     while (k < faults.size() && faults[k].cell_index < cell_hi) {

@@ -29,11 +29,10 @@
 
 namespace ftpim {
 
+/// Every tensor maps onto its differential pairs with w_max = its abs-max.
 struct InjectorConfig {
   ConductanceRange range{};
   int quant_levels = 0;       ///< 0 = analog cells (paper setting)
-  bool per_tensor_wmax = true;  ///< w_max = abs-max of the tensor (else fixed_wmax)
-  float fixed_wmax = 1.0f;
 };
 
 struct InjectionStats {

@@ -511,10 +511,6 @@ FTPIM_COLD bool any_column_clipped(const std::int32_t* crow, const std::int32_t*
 
 }  // namespace
 
-FTPIM_HOT void QuantizedCrossbarEngine::mvm(const float* x, float* y) const {
-  mvm_batch(x, 1, y);
-}
-
 FTPIM_HOT void QuantizedCrossbarEngine::mvm_batch(const float* x, std::int64_t batch,
                                                   float* y) const {
   FTPIM_CHECK_GE(batch, 0);

@@ -45,8 +45,8 @@
 // exactly for the same DefectMap (tests/crossbar_engine_test.cpp).
 //
 // Mutation (apply_* / clear_defects) is single-owner: do not mutate
-// concurrently with mvm calls. mvm itself is internally parallel and safe to
-// call from one thread at a time per engine.
+// concurrently with mvm_batch calls. mvm_batch itself is internally parallel
+// and safe to call from one thread at a time per engine.
 #pragma once
 
 #include <cstdint>
@@ -118,11 +118,9 @@ class QuantizedCrossbarEngine {
   /// Restores a defect-free die (programmed levels stay).
   void clear_defects();
 
-  /// y[out] = W_effective * x[in] through the quantized datapath.
-  void mvm(const float* x, float* y) const;
-
-  /// Batched form: y[batch, out] = x[batch, in] * W_effective^T. One int8
-  /// GEMM per tile; the activation scale is shared by the whole batch.
+  /// y[batch, out] = x[batch, in] * W_effective^T through the quantized
+  /// datapath. One int8 GEMM per tile; the activation scale is shared by the
+  /// whole batch.
   void mvm_batch(const float* x, std::int64_t batch, float* y) const;
 
   /// One image of a convolution mapped onto this engine (in_features() ==

@@ -40,7 +40,7 @@ RedundantInjectionStats apply_faults_with_redundancy(Tensor& weights,
   RedundantInjectionStats stats;
   stats.cells = 2ll * config.replicas * weights.numel();
 
-  float w_max = config.per_tensor_wmax ? weights.abs_max() : config.fixed_wmax;
+  float w_max = weights.abs_max();
   if (w_max <= 0.0f) w_max = 1.0f;
   const DifferentialMapper mapper(config.range, w_max);
 

@@ -21,9 +21,7 @@ namespace ftpim {
 
 struct RedundancyConfig {
   int replicas = 3;            ///< R (odd, >= 1); 1 = no redundancy
-  ConductanceRange range{};
-  bool per_tensor_wmax = true;
-  float fixed_wmax = 1.0f;
+  ConductanceRange range{};    ///< w_max is each tensor's abs-max
 };
 
 struct RedundantInjectionStats {

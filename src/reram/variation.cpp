@@ -5,7 +5,7 @@
 namespace ftpim {
 
 void apply_conductance_variation(Tensor& weights, const VariationConfig& config, Rng& rng) {
-  float w_max = config.per_tensor_wmax ? weights.abs_max() : config.fixed_wmax;
+  float w_max = weights.abs_max();
   if (w_max <= 0.0f) w_max = 1.0f;
   const DifferentialMapper mapper(config.range, w_max);
   const float g_min = config.range.g_min;

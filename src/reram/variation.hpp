@@ -16,9 +16,7 @@ namespace ftpim {
 
 struct VariationConfig {
   float sigma = 0.1f;          ///< lognormal sigma of the programming error
-  ConductanceRange range{};
-  bool per_tensor_wmax = true;
-  float fixed_wmax = 1.0f;
+  ConductanceRange range{};    ///< w_max is each tensor's abs-max
 };
 
 /// Applies lognormal conductance variation to `weights` in place through the

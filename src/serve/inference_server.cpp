@@ -40,7 +40,6 @@ InferenceServer::InferenceServer(const Module& model, const ServerConfig& config
   config_.batching.validate();
   FTPIM_CHECK_GE(config.max_attempts, 1, "ServerConfig: max_attempts");
   FTPIM_CHECK_GE(config.default_deadline_ns, std::int64_t{0}, "ServerConfig: default_deadline_ns");
-  FTPIM_CHECK_GE(config.shed_ns_per_queued, std::int64_t{0}, "ServerConfig: shed_ns_per_queued");
   MutexLock lock(mu_);
   stats_.canary_every_batches = config_.health.canary_every_batches;
   stats_.per_replica_served.assign(static_cast<std::size_t>(pool_.size()), 0);
@@ -53,10 +52,10 @@ FTPIM_COLD void InferenceServer::reject(Request&& request, ServeError::Kind kind
                                         const char* why) {
   (void)answer_error(request, std::make_exception_ptr(ServeError(kind, why)));
   MutexLock lock(mu_);
-  switch (kind) {
-    case ServeError::kQueueFull: ++stats_.rejected_queue_full; break;
-    case ServeError::kStopped: ++stats_.rejected_stopped; break;
-    default: ++stats_.rejected_shed; break;
+  if (kind == ServeError::kQueueFull) {
+    ++stats_.rejected_queue_full;
+  } else {
+    ++stats_.rejected_stopped;
   }
   --stats_.submitted;
   --stats_.in_flight;
@@ -108,22 +107,6 @@ std::future<InferenceResult> InferenceServer::submit(Tensor input, const SubmitO
                   "InferenceServer::submit: input shape %s differs from the server's %s",
                   shape_to_string(req.input.shape()).c_str(),
                   shape_to_string(input_shape_).c_str());
-    }
-    if (config_.shed_ns_per_queued > 0 && req.deadline_ns != kNoDeadlineNs) {
-      // Admission control: with `depth` requests ahead of it, the newcomer's
-      // predicted completion is enqueue + (depth+1)*service estimate. If that
-      // already misses the deadline, failing NOW is cheaper than failing
-      // after burning a queue slot and a forward pass.
-      const auto depth = static_cast<std::int64_t>(queue_.size());
-      const std::int64_t predicted = req.enqueue_ns + (depth + 1) * config_.shed_ns_per_queued;
-      if (predicted > req.deadline_ns) {
-        (void)answer_error(
-            req, std::make_exception_ptr(ServeError(
-                     ServeError::kDeadlineShed,
-                     "InferenceServer: deadline unmeetable at current queue depth")));
-        ++stats_.rejected_shed;
-        return fut;
-      }
     }
     req.id = next_id_++;
     // Count before the push so drain() never observes an accepted-but-

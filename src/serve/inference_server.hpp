@@ -13,10 +13,9 @@
 //
 // Robustness (this is what makes the fleet self-healing):
 //
-//   * Deadlines & shedding — a request may carry an absolute deadline.
-//     Admission control can refuse requests whose deadline is predicted
-//     unmeetable (shed_ns_per_queued), workers drop requests whose deadline
-//     already passed, and both outcomes surface as typed ServeError kinds.
+//   * Deadlines — a request may carry an absolute deadline; workers drop
+//     requests whose deadline already passed, and the future reports it as
+//     the typed ServeError kind kDeadlineExceeded.
 //   * Retry & failover — a failed forward pass burns one of the request's
 //     attempts and re-queues it with the failing replica excluded, so a
 //     different device gets the next try. When the budget, the deadline, or
@@ -87,10 +86,6 @@ struct ServerConfig {
   /// Forward passes a request may consume before its future fails (>= 1).
   /// Each failed attempt excludes the failing replica and re-queues.
   int max_attempts = 1;
-  /// Admission control: estimated service time per already-queued request.
-  /// A request whose deadline precedes enqueue_ns + (depth+1)*this is shed
-  /// at submit() with kDeadlineShed. 0 disables shedding.
-  std::int64_t shed_ns_per_queued = 0;
   /// Replica health scoring, canary cadence, and repair policy.
   HealthConfig health{};
   /// In-service defect growth.

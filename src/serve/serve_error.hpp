@@ -9,7 +9,6 @@
 // Kinds and when the future carries them:
 //   kQueueFull        submit() under OverflowPolicy::kReject, queue at capacity
 //   kStopped          server stopped (or stopping) before the request ran
-//   kDeadlineShed     admission control predicted the deadline cannot be met
 //   kDeadlineExceeded the deadline passed while queued or retrying
 //   kExhausted        attempt budget spent, or no non-excluded replica left
 #pragma once
@@ -25,7 +24,6 @@ class ServeError : public std::runtime_error {
   enum Kind {
     kQueueFull,
     kStopped,
-    kDeadlineShed,
     kDeadlineExceeded,
     kExhausted,
   };
@@ -43,7 +41,6 @@ class ServeError : public std::runtime_error {
   switch (kind) {
     case ServeError::kQueueFull: return "queue_full";
     case ServeError::kStopped: return "stopped";
-    case ServeError::kDeadlineShed: return "deadline_shed";
     case ServeError::kDeadlineExceeded: return "deadline_exceeded";
     case ServeError::kExhausted: return "exhausted";
   }

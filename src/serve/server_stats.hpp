@@ -24,7 +24,6 @@ struct ServerStats {
   // kind and the request never reached a forward pass.
   std::int64_t rejected_queue_full = 0;  ///< kReject policy, queue at capacity
   std::int64_t rejected_stopped = 0;     ///< server stopped before it ran
-  std::int64_t rejected_shed = 0;        ///< admission control: deadline unmeetable
   std::int64_t served = 0;     ///< answered with a result
   std::int64_t failed = 0;     ///< answered with an exception, all retries spent
   std::int64_t retried = 0;    ///< failed attempts re-queued onto another replica
@@ -59,7 +58,7 @@ struct ServerStats {
 
   /// Total rejections across all reasons.
   [[nodiscard]] std::int64_t rejected() const noexcept {
-    return rejected_queue_full + rejected_stopped + rejected_shed;
+    return rejected_queue_full + rejected_stopped;
   }
 
   /// served / batches — how well dynamic batching is filling batches.
@@ -71,12 +70,12 @@ struct ServerStats {
   /// One-line human-readable summary (callers print it; src/ never does).
   [[nodiscard]] std::string summary_line() const {
     return detail::format_msg(
-        "served %lld/%lld (rejected %lld=full:%lld+stop:%lld+shed:%lld, failed %lld, "
+        "served %lld/%lld (rejected %lld=full:%lld+stop:%lld, failed %lld, "
         "retried %lld, expired %lld) | batches %lld (fill %.2f) | "
         "queue %zu | p50 %.3fms p95 %.3fms p99 %.3fms",
         static_cast<long long>(served), static_cast<long long>(submitted),
         static_cast<long long>(rejected()), static_cast<long long>(rejected_queue_full),
-        static_cast<long long>(rejected_stopped), static_cast<long long>(rejected_shed),
+        static_cast<long long>(rejected_stopped),
         static_cast<long long>(failed), static_cast<long long>(retried),
         static_cast<long long>(expired), static_cast<long long>(batches), mean_batch_fill(),
         queue_depth, static_cast<double>(latency.p50_ns()) * 1e-6,

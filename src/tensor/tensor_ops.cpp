@@ -2,83 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "src/common/check.hpp"
-#include "src/tensor/gemm.hpp"
 
 namespace ftpim {
-namespace {
-void check_same_shape(const Tensor& a, const Tensor& b, const char* op) {
-  FTPIM_CHECK(a.shape() == b.shape(), "%s: shape mismatch %s vs %s", op,
-              shape_to_string(a.shape()).c_str(), shape_to_string(b.shape()).c_str());
-}
-}  // namespace
-
-Tensor add(const Tensor& a, const Tensor& b) {
-  Tensor out = a;
-  add_inplace(out, b);
-  return out;
-}
-
-Tensor sub(const Tensor& a, const Tensor& b) {
-  Tensor out = a;
-  sub_inplace(out, b);
-  return out;
-}
-
-Tensor mul(const Tensor& a, const Tensor& b) {
-  Tensor out = a;
-  mul_inplace(out, b);
-  return out;
-}
-
-Tensor scale(const Tensor& a, float s) {
-  Tensor out = a;
-  scale_inplace(out, s);
-  return out;
-}
-
-void add_inplace(Tensor& a, const Tensor& b) {
-  check_same_shape(a, b, "add");
-  float* pa = a.data();
-  const float* pb = b.data();
-  for (std::int64_t i = 0; i < a.numel(); ++i) pa[i] += pb[i];
-}
-
-void sub_inplace(Tensor& a, const Tensor& b) {
-  check_same_shape(a, b, "sub");
-  float* pa = a.data();
-  const float* pb = b.data();
-  for (std::int64_t i = 0; i < a.numel(); ++i) pa[i] -= pb[i];
-}
-
-void mul_inplace(Tensor& a, const Tensor& b) {
-  check_same_shape(a, b, "mul");
-  float* pa = a.data();
-  const float* pb = b.data();
-  for (std::int64_t i = 0; i < a.numel(); ++i) pa[i] *= pb[i];
-}
-
-void scale_inplace(Tensor& a, float s) {
-  float* pa = a.data();
-  for (std::int64_t i = 0; i < a.numel(); ++i) pa[i] *= s;
-}
-
-void axpy_inplace(Tensor& a, float s, const Tensor& b) {
-  check_same_shape(a, b, "axpy");
-  float* pa = a.data();
-  const float* pb = b.data();
-  for (std::int64_t i = 0; i < a.numel(); ++i) pa[i] += s * pb[i];
-}
-
-Tensor matmul(const Tensor& a, const Tensor& b) {
-  FTPIM_CHECK(a.rank() == 2 && b.rank() == 2 && a.dim(1) == b.dim(0),
-              "matmul: incompatible shapes %s x %s", shape_to_string(a.shape()).c_str(),
-              shape_to_string(b.shape()).c_str());
-  Tensor c(Shape{a.dim(0), b.dim(1)});
-  gemm(a.dim(0), b.dim(1), a.dim(1), 1.0f, a.data(), b.data(), 0.0f, c.data());
-  return c;
-}
 
 std::int64_t argmax_row(const Tensor& logits, std::int64_t row) {
   FTPIM_CHECK_EQ(logits.rank(), std::size_t{2}, "argmax_row: rank-2 tensor required");
@@ -91,26 +19,6 @@ std::int64_t argmax_row(const Tensor& logits, std::int64_t row) {
     if (p[j] > p[best]) best = j;
   }
   return best;
-}
-
-double accuracy(const Tensor& logits, const std::vector<std::int64_t>& labels) {
-  FTPIM_CHECK_EQ(logits.rank(), std::size_t{2}, "accuracy: rank-2 logits required");
-  const std::int64_t rows = logits.dim(0);
-  FTPIM_CHECK_EQ(rows, static_cast<std::int64_t>(labels.size()),
-                 "accuracy: label count mismatch");
-  if (rows == 0) return 0.0;
-  std::int64_t hits = 0;
-  for (std::int64_t r = 0; r < rows; ++r) {
-    if (argmax_row(logits, r) == labels[static_cast<std::size_t>(r)]) ++hits;
-  }
-  return static_cast<double>(hits) / static_cast<double>(rows);
-}
-
-double l2_norm(const Tensor& a) {
-  double acc = 0.0;
-  const float* p = a.data();
-  for (std::int64_t i = 0; i < a.numel(); ++i) acc += static_cast<double>(p[i]) * p[i];
-  return std::sqrt(acc);
 }
 
 std::int64_t count_zeros(const Tensor& a) {

@@ -1,40 +1,14 @@
-// Elementwise and reduction operations on Tensor, plus matmul convenience
-// wrappers over the raw GEMM kernels.
+// Reductions and statistics over Tensor.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "src/tensor/tensor.hpp"
 
 namespace ftpim {
 
-// --- elementwise (shape-checked) -------------------------------------------
-Tensor add(const Tensor& a, const Tensor& b);
-Tensor sub(const Tensor& a, const Tensor& b);
-Tensor mul(const Tensor& a, const Tensor& b);
-Tensor scale(const Tensor& a, float s);
-
-void add_inplace(Tensor& a, const Tensor& b);
-void sub_inplace(Tensor& a, const Tensor& b);
-void mul_inplace(Tensor& a, const Tensor& b);
-void scale_inplace(Tensor& a, float s);
-/// a += s * b (axpy).
-void axpy_inplace(Tensor& a, float s, const Tensor& b);
-
-// --- matmul ------------------------------------------------------------------
-/// [M,K] x [K,N] -> [M,N].
-Tensor matmul(const Tensor& a, const Tensor& b);
-
-// --- reductions / statistics -------------------------------------------------
 /// Index of the maximum element of row r in a rank-2 tensor.
 std::int64_t argmax_row(const Tensor& logits, std::int64_t row);
-
-/// Fraction of rows whose argmax equals labels[row]. logits: [N, classes].
-double accuracy(const Tensor& logits, const std::vector<std::int64_t>& labels);
-
-/// L2 norm of all elements.
-double l2_norm(const Tensor& a);
 
 /// Number of exactly-zero elements.
 std::int64_t count_zeros(const Tensor& a);

@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "src/common/parallel.hpp"
 #include "src/common/rng.hpp"
 #include "src/reram/defect_map.hpp"
 #include "src/reram/qinfer/quantized_engine.hpp"
@@ -28,17 +27,12 @@ using kernels::KernelLevel;
 using qinfer::QuantizedCrossbarEngine;
 using qinfer::QuantizedEngineConfig;
 using testing::random_tensor;
+using testing::ThreadGuard;
 
 class LevelGuard {
  public:
   explicit LevelGuard(KernelLevel level) { kernels::set_kernel_level(level); }
   ~LevelGuard() { kernels::clear_kernel_level_override(); }
-};
-
-class ThreadGuard {
- public:
-  explicit ThreadGuard(int n) { set_num_threads(n); }
-  ~ThreadGuard() { set_num_threads(0); }
 };
 
 std::vector<KernelLevel> runnable_levels() {

@@ -4,7 +4,7 @@
 
 #include <memory>
 
-#include "src/common/parallel.hpp"
+#include "src/common/check.hpp"
 #include "src/core/evaluator.hpp"
 #include "src/data/synthetic.hpp"
 #include "src/models/mlp.hpp"
@@ -16,13 +16,7 @@ namespace ftpim {
 namespace {
 
 using testing::random_tensor;
-
-/// Scoped thread-count override; resets to the env/hardware default on exit
-/// even when an assertion throws.
-struct ThreadOverride {
-  explicit ThreadOverride(int n) { set_num_threads(n); }
-  ~ThreadOverride() { set_num_threads(0); }
-};
+using testing::ThreadGuard;
 
 std::unique_ptr<InMemoryDataset> tiny_data(std::int64_t samples = 64) {
   SynthVisionConfig sv;
@@ -115,11 +109,11 @@ TEST(DefectEval, BitIdenticalAcrossThreadCounts) {
 
   DefectEvalResult serial, parallel;
   {
-    ThreadOverride guard(1);
+    ThreadGuard guard(1);
     serial = evaluate_under_defects(*net, *data, /*p_sa=*/0.05, cfg);
   }
   {
-    ThreadOverride guard(4);
+    ThreadGuard guard(4);
     parallel = evaluate_under_defects(*net, *data, /*p_sa=*/0.05, cfg);
   }
 
@@ -151,6 +145,24 @@ TEST(DefectEval, MoreRunsExtendPrefixOfFewerRuns) {
   const DefectEvalResult many = evaluate_under_defects(*net, *data, 0.05, cfg);
   for (std::size_t r = 0; r < few.run_accs.size(); ++r) {
     EXPECT_EQ(few.run_accs[r], many.run_accs[r]) << "run " << r;
+  }
+}
+
+TEST(DefectEval, InvalidQuantizedConfigThrowsAtAnyThreadCount) {
+  // The quantized deployment runs inside each Monte-Carlo worker, so its
+  // contract check fires on a worker thread. It must still reach the caller
+  // as the same typed error a one-thread run throws.
+  auto net = make_small_cnn(SmallCnnConfig{.image_size = 16, .width = 8, .classes = 10});
+  const auto data = tiny_data(16);
+  DefectEvalConfig cfg;
+  cfg.num_runs = 4;
+  cfg.batch_size = 16;
+  cfg.engine = EvalEngine::kQuantized;
+  cfg.quantized.levels = 1;
+  for (const int threads : {1, 4}) {
+    ThreadGuard guard(threads);
+    EXPECT_THROW((void)evaluate_under_defects(*net, *data, 0.01, cfg), ContractViolation)
+        << threads << " threads";
   }
 }
 

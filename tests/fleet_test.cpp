@@ -190,7 +190,7 @@ TEST(FleetSurvival, KaplanMeierProductOverHandBuiltTimeline) {
   timeline[2].scrubs = 5;
   // Deaths at ticks 0,0,2,2,2,2; four survivors censored at the horizon (3).
   const std::vector<std::int64_t> deaths = {0, 0, 2, 2, 2, 2, -1, -1, -1, -1};
-  const FleetSummary s = summarize_fleet(timeline, deaths, 25.0, 1.0);
+  const FleetSummary s = summarize_fleet(timeline, deaths);
   EXPECT_EQ(s.devices, 10);
   EXPECT_EQ(s.survivors, 4);
   EXPECT_DOUBLE_EQ(s.survival_fraction, 0.4);

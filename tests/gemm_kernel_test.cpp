@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "src/common/check.hpp"
-#include "src/common/parallel.hpp"
 #include "src/common/rng.hpp"
 #include "src/nn/conv2d.hpp"
 #include "src/tensor/gemm.hpp"
@@ -26,19 +25,13 @@ namespace {
 
 using kernels::KernelLevel;
 using testing::random_tensor;
+using testing::ThreadGuard;
 
 /// Pins the dispatch level for a scope; restores the ambient default on exit.
 class LevelGuard {
  public:
   explicit LevelGuard(KernelLevel level) { kernels::set_kernel_level(level); }
   ~LevelGuard() { kernels::clear_kernel_level_override(); }
-};
-
-/// Pins the worker count for a scope.
-class ThreadGuard {
- public:
-  explicit ThreadGuard(int n) { set_num_threads(n); }
-  ~ThreadGuard() { set_num_threads(0); }
 };
 
 std::vector<KernelLevel> runnable_levels() {

@@ -1,9 +1,11 @@
-// LatencyHistogram + the float/duration summarize/quantile shims.
+// summarize/quantile, LatencyHistogram and the float/duration
+// summarize/quantile shims.
 #include "src/common/stats.hpp"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <vector>
 
 #include "src/common/check.hpp"
@@ -11,6 +13,24 @@
 
 namespace ftpim {
 namespace {
+
+TEST(Stats, SummarizeBasics) {
+  const Summary s = summarize({1.0, 2.0, 3.0, 4.0});
+  EXPECT_DOUBLE_EQ(s.mean, 2.5);
+  EXPECT_DOUBLE_EQ(s.min, 1.0);
+  EXPECT_DOUBLE_EQ(s.max, 4.0);
+  EXPECT_NEAR(s.stddev, std::sqrt(1.25), 1e-12);
+  EXPECT_EQ(s.count, 4u);
+  EXPECT_EQ(summarize({}).count, 0u);
+}
+
+TEST(Stats, QuantileNearestRank) {
+  EXPECT_DOUBLE_EQ(quantile({5.0, 1.0, 3.0}, 0.0), 1.0);
+  EXPECT_DOUBLE_EQ(quantile({5.0, 1.0, 3.0}, 0.5), 3.0);
+  EXPECT_DOUBLE_EQ(quantile({5.0, 1.0, 3.0}, 1.0), 5.0);
+  EXPECT_THROW((void)quantile({}, 0.5), std::invalid_argument);
+  EXPECT_THROW((void)quantile({1.0}, 1.5), std::invalid_argument);
+}
 
 TEST(LatencyHistogram, EmptyBehavior) {
   LatencyHistogram h;

@@ -60,7 +60,7 @@ TEST(SoftmaxCrossEntropy, GradientIsProbsMinusOneHotOverN) {
 }
 
 TEST(SoftmaxCrossEntropy, GradientMatchesNumeric) {
-  const SoftmaxCrossEntropy ce(0.1f);  // include label smoothing path
+  const SoftmaxCrossEntropy ce;
   Tensor logits = testing::random_tensor(Shape{2, 5}, 3);
   const std::vector<std::int64_t> labels{4, 2};
   const LossResult r = ce.forward(logits, labels);
@@ -88,15 +88,15 @@ TEST(SoftmaxCrossEntropy, GradSumsToZeroPerRow) {
 }
 
 TEST(SoftmaxCrossEntropy, Validation) {
-  EXPECT_THROW(SoftmaxCrossEntropy(-0.1f), std::invalid_argument);
-  EXPECT_THROW(SoftmaxCrossEntropy(1.0f), std::invalid_argument);
   const SoftmaxCrossEntropy ce;
   EXPECT_THROW(ce.forward(Tensor(Shape{2, 3}), {0}), std::invalid_argument);
   EXPECT_THROW(ce.forward(Tensor(Shape{1, 3}), {5}), std::out_of_range);
+  EXPECT_THROW((void)ce.loss_only(Tensor(Shape{1, 3}), {-1}), std::out_of_range);
+  EXPECT_THROW((void)ce.loss_only(Tensor(Shape{2, 3}), {0}), std::invalid_argument);
 }
 
 TEST(SoftmaxCrossEntropy, LossOnlyMatchesForward) {
-  const SoftmaxCrossEntropy ce(0.05f);
+  const SoftmaxCrossEntropy ce;
   const Tensor logits = testing::random_tensor(Shape{6, 3}, 5);
   const std::vector<std::int64_t> labels{0, 1, 2, 0, 1, 2};
   EXPECT_NEAR(ce.loss_only(logits, labels), ce.forward(logits, labels).loss, 1e-6f);

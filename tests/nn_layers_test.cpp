@@ -146,12 +146,6 @@ TEST(ReLU, ForwardAndGradient) {
   EXPECT_FLOAT_EQ(g[2], 5.0f);
 }
 
-TEST(LeakyReLU, GradientMatchesNumeric) {
-  LeakyReLU leaky(0.1f);
-  const Tensor x = random_tensor(Shape{40}, 22);
-  EXPECT_LT(check_input_gradient(leaky, x, 23), kGradTol);
-}
-
 TEST(Tanh, GradientMatchesNumeric) {
   Tanh tanh_layer;
   const Tensor x = random_tensor(Shape{40}, 24, 0.5f);

@@ -94,33 +94,22 @@ TEST(Sgd, ConvergesOnQuadratic) {
 }
 
 TEST(CosineSchedule, EndpointsAndMidpoint) {
-  const CosineSchedule sched(0.1f, 0.0f);
-  EXPECT_FLOAT_EQ(sched.lr_at(0, 100), 0.1f);
-  EXPECT_NEAR(sched.lr_at(50, 100), 0.05f, 1e-6f);
-  EXPECT_LT(sched.lr_at(99, 100), 0.001f);
+  EXPECT_FLOAT_EQ(cosine_annealed_lr(0.1f, 0.0f, 0, 100), 0.1f);
+  EXPECT_NEAR(cosine_annealed_lr(0.1f, 0.0f, 50, 100), 0.05f, 1e-6f);
+  EXPECT_LT(cosine_annealed_lr(0.1f, 0.0f, 99, 100), 0.001f);
+  EXPECT_FLOAT_EQ(cosine_annealed_lr(0.1f, 0.0f, 0, 1), 0.1f);  // one-epoch schedule
 }
 
 TEST(CosineSchedule, MonotoneDecreasing) {
-  const CosineSchedule sched(0.1f);
-  for (int e = 1; e < 50; ++e) EXPECT_LE(sched.lr_at(e, 50), sched.lr_at(e - 1, 50));
+  for (int e = 1; e < 50; ++e) {
+    EXPECT_LE(cosine_annealed_lr(0.1f, 0.0f, e, 50), cosine_annealed_lr(0.1f, 0.0f, e - 1, 50));
+  }
 }
 
 TEST(CosineSchedule, Validation) {
-  EXPECT_THROW(CosineSchedule(0.0f), std::invalid_argument);
-  EXPECT_THROW(CosineSchedule(0.1f, 0.2f), std::invalid_argument);
-}
-
-TEST(StepSchedule, DropsAtMilestones) {
-  const StepSchedule sched(1.0f, {10, 20}, 0.1f);
-  EXPECT_FLOAT_EQ(sched.lr_at(5, 30), 1.0f);
-  EXPECT_FLOAT_EQ(sched.lr_at(10, 30), 0.1f);
-  EXPECT_FLOAT_EQ(sched.lr_at(25, 30), 0.01f);
-}
-
-TEST(ConstantSchedule, Constant) {
-  const ConstantSchedule sched(0.02f);
-  EXPECT_FLOAT_EQ(sched.lr_at(0, 10), 0.02f);
-  EXPECT_FLOAT_EQ(sched.lr_at(9, 10), 0.02f);
+  EXPECT_THROW((void)cosine_annealed_lr(0.0f, 0.0f, 0, 10), std::invalid_argument);
+  EXPECT_THROW((void)cosine_annealed_lr(0.1f, 0.2f, 0, 10), std::invalid_argument);
+  EXPECT_THROW((void)cosine_annealed_lr(0.1f, -0.1f, 0, 10), std::invalid_argument);
 }
 
 }  // namespace

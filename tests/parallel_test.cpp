@@ -1,15 +1,24 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <memory>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "src/common/check.hpp"
 #include "src/common/config.hpp"
 #include "src/common/parallel.hpp"
+#include "src/common/rng.hpp"
+#include "src/nn/conv2d.hpp"
+#include "test_util.hpp"
 
 namespace ftpim {
 namespace {
+
+using testing::ThreadGuard;
 
 TEST(ParallelFor, VisitsEveryIndexExactlyOnce) {
   std::vector<std::atomic<int>> hits(1000);
@@ -66,6 +75,94 @@ TEST(ParallelForChunks, OffsetRangesWork) {
     sum += local;
   });
   EXPECT_EQ(sum.load(), (100 + 199) * 100 / 2);
+}
+
+/// Runs a 64-index loop whose body throws at every index in `failing`;
+/// returns the message that reached the caller ("" if none) and counts the
+/// indices that completed.
+std::string first_error(const std::vector<std::size_t>& failing,
+                        std::vector<std::atomic<int>>& done) {
+  try {
+    parallel_for_chunks(
+        0, done.size(),
+        [&](std::size_t lo, std::size_t hi) {
+          for (std::size_t i = lo; i < hi; ++i) {
+            for (const std::size_t f : failing) {
+              if (i == f) throw std::runtime_error("index " + std::to_string(i));
+            }
+            done[i]++;
+          }
+        },
+        /*min_parallel_trip=*/1);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ParallelFor, LowestChunkExceptionWinsAtAnyThreadCount) {
+  // With 4 workers the 64 indices split into chunks of 16; failures sit in
+  // chunks 0, 1, 2 and 3 (or only the last two). Every thread count must
+  // report the lowest failing index, as the serial loop does, and every
+  // chunk that did not throw must have finished before the rethrow.
+  for (int threads = 1; threads <= 4; ++threads) {
+    ThreadGuard guard(threads);
+    std::vector<std::atomic<int>> done(64);
+    EXPECT_EQ(first_error({40, 17, 63, 5}, done), "index 5") << threads << " threads";
+    for (std::size_t i = 0; i < 5; ++i) EXPECT_EQ(done[i].load(), 1) << i;
+
+    std::vector<std::atomic<int>> late(64);
+    EXPECT_EQ(first_error({63, 40}, late), "index 40") << threads << " threads";
+    for (std::size_t i = 0; i < 32; ++i) EXPECT_EQ(late[i].load(), 1) << i;
+
+    std::vector<std::atomic<int>> clean(64);
+    EXPECT_EQ(first_error({}, clean), "") << threads << " threads";
+    for (const auto& d : clean) EXPECT_EQ(d.load(), 1);
+  }
+}
+
+/// Conv hook whose per-image path throws on chosen images; the image index
+/// comes from the input pointer's offset into the batch.
+class ThrowingConvHook final : public MvmHook {
+ public:
+  ThrowingConvHook(const float* batch, std::int64_t image_floats, std::vector<std::int64_t> bad)
+      : batch_(batch), image_floats_(image_floats), bad_(std::move(bad)) {}
+  void mvm_batch(const float*, std::int64_t batch, float* y) const override {
+    std::fill(y, y + batch * out_features(), 0.0f);
+  }
+  void conv_image(const float* x, const ConvGeometry& g, float* y) const override {
+    const std::int64_t image = (x - batch_) / image_floats_;
+    for (const std::int64_t b : bad_) {
+      if (image == b) throw std::runtime_error("image " + std::to_string(image));
+    }
+    std::fill(y, y + out_features() * g.out_h() * g.out_w(), 0.0f);
+  }
+  [[nodiscard]] std::int64_t in_features() const noexcept override { return 2 * 3 * 3; }
+  [[nodiscard]] std::int64_t out_features() const noexcept override { return 3; }
+
+ private:
+  const float* batch_;
+  std::int64_t image_floats_;
+  std::vector<std::int64_t> bad_;
+};
+
+TEST(ParallelFor, Conv2dHookExceptionReachesCaller) {
+  // Conv2d's eval forward runs the hook from its per-image parallel loop:
+  // 8 images over 4 workers is 4 chunks of 2, and images 3, 5 and 6 throw.
+  Rng rng(3);
+  Conv2d conv(2, 3, 3, 1, 1, rng);
+  const Tensor x = testing::random_tensor(Shape{8, 2, 5, 5}, 4);
+  conv.set_mvm_hook(std::make_shared<ThrowingConvHook>(x.data(), 2 * 5 * 5,
+                                                       std::vector<std::int64_t>{6, 3, 5}));
+  for (const int threads : {1, 4}) {
+    ThreadGuard guard(threads);
+    try {
+      (void)conv.forward(x, /*training=*/false);
+      ADD_FAILURE() << "no exception at " << threads << " threads";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "image 3") << threads << " threads";
+    }
+  }
 }
 
 TEST(NumThreads, PositiveAndStable) {

@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "src/common/parallel.hpp"
 #include "src/common/rng.hpp"
 #include "src/core/evaluator.hpp"
 #include "src/core/trainer.hpp"
@@ -45,12 +44,7 @@ namespace {
 using kernels::KernelLevel;
 using qinfer::QuantizedEngineConfig;
 using testing::random_tensor;
-
-/// Scoped thread-count override; resets to the env/hardware default on exit.
-struct ThreadOverride {
-  explicit ThreadOverride(int n) { set_num_threads(n); }
-  ~ThreadOverride() { set_num_threads(0); }
-};
+using testing::ThreadGuard;
 
 /// Pins the dispatch level for a scope; restores the ambient default on exit.
 struct LevelGuard {
@@ -427,7 +421,7 @@ TEST_P(QuantConvLowering, MatchesManualLowering) {
         for (const KernelLevel level : runnable_levels()) {
           for (const int threads : {1, 4}) {
             LevelGuard lg(level);
-            ThreadOverride tg(threads);
+            ThreadGuard tg(threads);
             const std::string at = where + " level=" + std::to_string(static_cast<int>(level)) +
                                    " threads=" + std::to_string(threads);
             // Through Conv2d (images in parallel) ...
@@ -508,12 +502,12 @@ TEST(QuantEval, BitIdenticalAcrossThreadCounts) {
 
   std::vector<double> base;
   {
-    ThreadOverride threads(1);
+    ThreadGuard threads(1);
     base = evaluate_under_defects(*net, *data, 0.05, config).run_accs;
   }
   ASSERT_EQ(base.size(), 4u);
   for (const int threads : {2, 3}) {
-    ThreadOverride tg(threads);
+    ThreadGuard tg(threads);
     const DefectEvalResult result = evaluate_under_defects(*net, *data, 0.05, config);
     ASSERT_EQ(result.run_accs.size(), base.size());
     for (std::size_t r = 0; r < base.size(); ++r) {

@@ -19,7 +19,6 @@
 #include <cstring>
 #include <vector>
 
-#include "src/common/parallel.hpp"
 #include "src/common/rng.hpp"
 #include "src/reram/conductance.hpp"
 #include "src/reram/crossbar_engine.hpp"
@@ -39,19 +38,13 @@ using qinfer::AdcConfig;
 using qinfer::QuantizedCrossbarEngine;
 using qinfer::QuantizedEngineConfig;
 using testing::random_tensor;
+using testing::ThreadGuard;
 
 /// Pins the dispatch level for a scope; restores the ambient default on exit.
 class LevelGuard {
  public:
   explicit LevelGuard(KernelLevel level) { kernels::set_kernel_level(level); }
   ~LevelGuard() { kernels::clear_kernel_level_override(); }
-};
-
-/// Pins the worker count for a scope.
-class ThreadGuard {
- public:
-  explicit ThreadGuard(int n) { set_num_threads(n); }
-  ~ThreadGuard() { set_num_threads(0); }
 };
 
 std::vector<KernelLevel> runnable_levels() {
@@ -380,16 +373,6 @@ TEST(QuantEngine, PartialRowTilesAgreeAcrossTilingsAndPanels) {
   }
 }
 
-TEST(QuantEngine, MvmIsBatchOfOne) {
-  const Tensor w = random_tensor(Shape{9, 11}, 3);
-  const QuantizedCrossbarEngine engine(w, small_config());
-  const Tensor x = random_tensor(Shape{1, 11}, 5);
-  std::vector<float> y1(9), yb(9);
-  engine.mvm(x.data(), y1.data());
-  engine.mvm_batch(x.data(), 1, yb.data());
-  EXPECT_EQ(std::memcmp(y1.data(), yb.data(), y1.size() * sizeof(float)), 0);
-}
-
 TEST(QuantEngine, LevelDomainFaultSemantics) {
   // Two weights, one tile. Weight 0 = +w_max (lv+ = L-1, lv- = 0),
   // weight 1 = 0 (both cells level 0).
@@ -446,7 +429,7 @@ TEST(QuantEngine, FaultsFlowThroughMvm) {
 
   const float x[2] = {0.9f, -0.3f};
   float y[2] = {0.0f, 0.0f};
-  engine.mvm(x, y);
+  engine.mvm_batch(x, 1, y);
   for (int o = 0; o < 2; ++o) {
     const float want = faulted[o * 2] * x[0] + faulted[o * 2 + 1] * x[1];
     EXPECT_NEAR(y[o], want, 0.02f) << "o=" << o;
@@ -454,7 +437,7 @@ TEST(QuantEngine, FaultsFlowThroughMvm) {
   // And the faulted output differs from the clean one for the hit row.
   engine.clear_defects();
   float y_clean[2];
-  engine.mvm(x, y_clean);
+  engine.mvm_batch(x, 1, y_clean);
   EXPECT_GT(std::abs(y[0] - y_clean[0]), 0.3f);
   EXPECT_NEAR(y[1], y_clean[1], 1e-6f);
 }

@@ -1,6 +1,6 @@
 // Self-healing serving: OutcomeWindow, HealthMonitor state machine, canary
 // scoring, deadline/retry/failover semantics, poisoned-batchmate isolation,
-// load shedding, and the deterministic degrade->quarantine->repair loop.
+// and the deterministic degrade->quarantine->repair loop.
 // Suite names start with Serve* so scripts/ci.sh's TSan leg picks them up.
 #include "src/serve/health_monitor.hpp"
 
@@ -377,39 +377,6 @@ TEST(ServeHealthServer, DeadlineExpiredWhileQueuedFailsTyped) {
   EXPECT_EQ(stats.served, 1);
 }
 
-TEST(ServeHealthServer, ShedsRequestsWithUnmeetableDeadlines) {
-  // Admission control: with shed_ns_per_queued = 1us per queued request and
-  // a 2.5us default deadline, the third submission is predicted to finish at
-  // +3us and is shed at the door (no queue slot, no forward pass).
-  const auto model = make_model();
-  ManualServeClock clock(1'000'000);
-  ServerConfig cfg;
-  cfg.batching.max_linger_ns = 0;
-  cfg.pool.num_replicas = 1;
-  cfg.clock = &clock;
-  cfg.shed_ns_per_queued = 1'000;
-  cfg.default_deadline_ns = 2'500;
-  InferenceServer server(*model, cfg);
-
-  auto a = server.submit(make_input(1));  // depth 0: predicted +1us, fits
-  auto b = server.submit(make_input(2));  // depth 1: predicted +2us, fits
-  auto c = server.submit(make_input(3));  // depth 2: predicted +3us, shed
-  auto d = server.submit(make_input(4));  // still depth 2: shed too
-  server.start();
-  server.drain();
-  server.stop();
-
-  EXPECT_NO_THROW((void)a.get());
-  EXPECT_NO_THROW((void)b.get());
-  EXPECT_EQ(kind_of(c), ServeError::kDeadlineShed);
-  EXPECT_EQ(kind_of(d), ServeError::kDeadlineShed);
-  const ServerStats stats = server.stats();
-  EXPECT_EQ(stats.rejected_shed, 2);
-  EXPECT_EQ(stats.rejected(), 2);
-  EXPECT_EQ(stats.submitted, 2);  // shed requests never count as accepted
-  EXPECT_EQ(stats.served, 2);
-}
-
 TEST(ServeHealthServer, PoisonedRequestDoesNotTakeDownBatchmates) {
   // A request whose promise is already satisfied (poisoned via the batch
   // hook, standing in for a cancelled/duplicated client) must not prevent
@@ -541,7 +508,6 @@ TEST(ServeHealthServer, DeterministicDegradationQuarantineRepairLoop) {
 TEST(ServeHealthError, KindsRoundTripThroughToString) {
   EXPECT_STREQ(to_string(ServeError::kQueueFull), "queue_full");
   EXPECT_STREQ(to_string(ServeError::kStopped), "stopped");
-  EXPECT_STREQ(to_string(ServeError::kDeadlineShed), "deadline_shed");
   EXPECT_STREQ(to_string(ServeError::kDeadlineExceeded), "deadline_exceeded");
   EXPECT_STREQ(to_string(ServeError::kExhausted), "exhausted");
   const ServeError err(ServeError::kExhausted, "budget spent");
@@ -556,16 +522,15 @@ TEST(ServeHealthStats, SummaryAndHealthLinesRenderBreakdown) {
   s.submitted = 10;
   s.rejected_queue_full = 1;
   s.rejected_stopped = 2;
-  s.rejected_shed = 3;
   s.served = 4;
   s.per_replica_health = {0.5};
   s.per_replica_state = {ReplicaHealth::kSuspect};
   s.per_replica_repairs = {2};
   s.quarantines = 1;
   s.repairs = 2;
-  EXPECT_EQ(s.rejected(), 6);
+  EXPECT_EQ(s.rejected(), 3);
   const std::string line = s.summary_line();
-  EXPECT_NE(line.find("rejected 6=full:1+stop:2+shed:3"), std::string::npos) << line;
+  EXPECT_NE(line.find("rejected 3=full:1+stop:2,"), std::string::npos) << line;
   const std::string health = s.health_line();
   EXPECT_NE(health.find("suspect:0.50"), std::string::npos) << health;
   EXPECT_NE(health.find("quarantines 1 repairs 2"), std::string::npos) << health;

@@ -311,7 +311,6 @@ TEST(ServeServer, RejectPolicyFailsFastWhenFull) {
   EXPECT_EQ(stats.rejected(), 3);
   EXPECT_EQ(stats.rejected_queue_full, 3);  // every rejection was a full queue
   EXPECT_EQ(stats.rejected_stopped, 0);
-  EXPECT_EQ(stats.rejected_shed, 0);
   EXPECT_EQ(stats.served, 2);
   EXPECT_EQ(stats.in_flight, 0);
 }

@@ -39,33 +39,10 @@ TEST(Tensor, Reductions) {
   EXPECT_FLOAT_EQ(t.abs_max(), 3.0f);
 }
 
-TEST(TensorOps, ElementwiseAndAxpy) {
-  Tensor a = Tensor::from_vector({1, 2, 3});
-  const Tensor b = Tensor::from_vector({4, 5, 6});
-  EXPECT_TRUE(add(a, b).allclose(Tensor::from_vector({5, 7, 9})));
-  EXPECT_TRUE(sub(a, b).allclose(Tensor::from_vector({-3, -3, -3})));
-  EXPECT_TRUE(mul(a, b).allclose(Tensor::from_vector({4, 10, 18})));
-  axpy_inplace(a, 2.0f, b);
-  EXPECT_TRUE(a.allclose(Tensor::from_vector({9, 12, 15})));
-}
-
-TEST(TensorOps, MatmulSmall) {
-  const Tensor a(Shape{2, 3}, std::vector<float>{1, 2, 3, 4, 5, 6});
-  const Tensor b(Shape{3, 2}, std::vector<float>{7, 8, 9, 10, 11, 12});
-  const Tensor c = matmul(a, b);
-  EXPECT_TRUE(c.allclose(Tensor(Shape{2, 2}, std::vector<float>{58, 64, 139, 154})));
-}
-
-TEST(TensorOps, MatmulShapeMismatchThrows) {
-  EXPECT_THROW(matmul(Tensor(Shape{2, 3}), Tensor(Shape{2, 3})), std::invalid_argument);
-}
-
-TEST(TensorOps, AccuracyAndArgmax) {
+TEST(TensorOps, ArgmaxRow) {
   const Tensor logits(Shape{2, 3}, std::vector<float>{0.1f, 0.9f, 0.0f, 2.0f, 1.0f, 0.5f});
   EXPECT_EQ(argmax_row(logits, 0), 1);
   EXPECT_EQ(argmax_row(logits, 1), 0);
-  EXPECT_DOUBLE_EQ(accuracy(logits, {1, 0}), 1.0);
-  EXPECT_DOUBLE_EQ(accuracy(logits, {1, 2}), 0.5);
 }
 
 TEST(TensorOps, KthLargestAbs) {

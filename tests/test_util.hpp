@@ -1,6 +1,6 @@
-// Shared helpers for ftpim tests: random tensors, per-test scratch
-// directories, and finite-difference gradient checking of Module
-// implementations.
+// Shared helpers for ftpim tests: random tensors, a scoped worker-count
+// override, per-test scratch directories, and finite-difference gradient
+// checking of Module implementations.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include <system_error>
 #include <vector>
 
+#include "src/common/parallel.hpp"
 #include "src/common/rng.hpp"
 #include "src/nn/module.hpp"
 #include "src/tensor/tensor.hpp"
@@ -26,6 +27,16 @@ inline Tensor random_tensor(Shape shape, std::uint64_t seed, float scale = 1.0f)
   for (std::int64_t i = 0; i < t.numel(); ++i) t[i] = scale * rng.normal();
   return t;
 }
+
+/// Pins the parallel_for_chunks worker count for a scope; restores the
+/// env/hardware default on exit, even when an assertion throws.
+class ThreadGuard {
+ public:
+  explicit ThreadGuard(int n) { set_num_threads(n); }
+  ~ThreadGuard() { set_num_threads(0); }
+  ThreadGuard(const ThreadGuard&) = delete;
+  ThreadGuard& operator=(const ThreadGuard&) = delete;
+};
 
 /// Fresh, empty directory $TMPDIR/ftpim-<suite>.<test>-<pid>[/sub] for the
 /// running test. ctest runs every test as its own process, so tests never

@@ -98,6 +98,23 @@ TEST(Trainer, CosineLrFollowsSchedule) {
   EXPECT_GT(lrs[1], lrs[2]);
 }
 
+TEST(ConstantSchedule, Constant) {
+  // cosine_lr off: every epoch runs at sgd.lr.
+  const auto train = tiny_vision(5, 32);
+  auto cnn = make_small_cnn(
+      SmallCnnConfig{.image_size = 8, .width = 2, .classes = 3, .seed = 6});
+  TrainConfig tc = fast_config(3);
+  tc.sgd.lr = 0.02f;
+  tc.cosine_lr = false;
+  Trainer trainer(*cnn, *train, tc);
+  std::vector<float> lrs;
+  TrainHooks hooks;
+  hooks.after_epoch = [&](int, float) { lrs.push_back(trainer.optimizer().lr()); };
+  trainer.set_hooks(hooks);
+  trainer.run(/*epoch_offset=*/2, /*total_epochs=*/10);
+  EXPECT_EQ(lrs, (std::vector<float>{0.02f, 0.02f, 0.02f}));
+}
+
 TEST(Trainer, EpochOffsetSharesScheduleAcrossStages) {
   const auto train = tiny_vision(6, 32);
   auto cnn = make_small_cnn(
