@@ -4,6 +4,7 @@
 // robustness probe). Shows (1) TMR alone helps at 3x cell cost, (2) FT
 // training alone helps at zero hardware cost, (3) they compose.
 #include <cstdio>
+#include <memory>
 
 #include "bench_common.hpp"
 #include "src/reram/redundancy.hpp"
@@ -14,15 +15,17 @@ namespace {
 using namespace ftpim;
 using namespace ftpim::bench;
 
-/// Mean accuracy over devices deployed with R-replica redundancy.
-double redundant_defect_acc(Sequential& model, const Dataset& test, double p_sa, int replicas,
-                            int runs) {
+/// Mean accuracy over devices deployed with R-replica redundancy, each a
+/// clone of `model` with its own redundant die.
+double redundant_defect_acc(const Sequential& model, const Dataset& test, double p_sa,
+                            int replicas, int runs) {
   double sum = 0.0;
   for (int run = 0; run < runs; ++run) {
     Rng rng(derive_seed(8181, static_cast<std::uint64_t>(run)));
-    const RedundancyConfig cfg{.replicas = replicas};
-    const RedundantFaultGuard guard(model, StuckAtFaultModel(p_sa), cfg, rng);
-    sum += evaluate_accuracy(model, test);
+    const std::unique_ptr<Module> die = model.clone();
+    (void)apply_redundancy_to_model(*die, StuckAtFaultModel(p_sa),
+                                    RedundancyConfig{.replicas = replicas}, rng);
+    sum += evaluate_accuracy(*die, test);
   }
   return sum / runs;
 }
@@ -31,12 +34,14 @@ double redundant_defect_acc(Sequential& model, const Dataset& test, double p_sa,
 double variation_defect_acc(Sequential& model, const Dataset& test, double p_sa, float sigma,
                             int runs) {
   double sum = 0.0;
+  FaultInjectionSession session(model);
   for (int run = 0; run < runs; ++run) {
     Rng rng(derive_seed(9292, static_cast<std::uint64_t>(run)));
-    const WeightFaultGuard guard(model, StuckAtFaultModel(p_sa), InjectorConfig{}, rng);
+    session.inject(StuckAtFaultModel(p_sa), InjectorConfig{}, rng);
     apply_variation_to_model(model, VariationConfig{.sigma = sigma}, rng);
     sum += evaluate_accuracy(model, test);
-    // guard restores the clean (pre-fault, pre-variation) weights
+    // restores the clean (pre-fault, pre-variation) weights
+    session.restore();
   }
   return sum / runs;
 }

@@ -195,10 +195,9 @@ void BM_FaultInjection(benchmark::State& state) {
   const StuckAtFaultModel model(0.01);
   const InjectorConfig config;
   Rng rng(5);
-  Tensor scratch = w;
+  Tensor scratch;
   for (auto _ : state) {
-    scratch = w;
-    apply_stuck_at_faults(scratch, model, config, rng);
+    apply_stuck_at_faults(w, scratch, model, config, rng);
     benchmark::DoNotOptimize(scratch.data());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));

@@ -80,10 +80,10 @@ int main() {
   }
 
   // Fast path equivalence: weight-space injector matches cell-level stats.
-  Tensor w_fast = w;
+  Tensor w_fast;
   Rng inj_rng(123);
   const InjectionStats stats =
-      apply_stuck_at_faults(w_fast, StuckAtFaultModel(0.05), InjectorConfig{}, inj_rng);
+      apply_stuck_at_faults(w, w_fast, StuckAtFaultModel(0.05), InjectorConfig{}, inj_rng);
   std::printf("\nweight-space injector at P_sa=0.05: %lld/%lld cells faulted (rate %.4f)\n",
               static_cast<long long>(stats.faulted_cells), static_cast<long long>(stats.cells),
               stats.cell_fault_rate());

@@ -87,7 +87,7 @@ int main() {
   cfg.engine = EvalEngine::kQuantized;
   cfg.batch_size = 64;
   cfg.quantized.adc.range_factor =
-      env_double_in("FTPIM_ADC_RANGE", cfg.quantized.adc.range_factor, 0.0, 1.0);
+      env_double("FTPIM_ADC_RANGE", cfg.quantized.adc.range_factor, 0.0, 1.0);
   for (const int levels : level_grid) {
     std::printf("%8d", levels);
     for (const int bits : adc_grid) {

@@ -11,9 +11,15 @@
 //   FTPIM_TEST   = <int>    override test-set size
 //   FTPIM_IMG    = <int>    override image side (HxW)
 //   FTPIM_WIDTH  = <int>    override ResNet base width
+//   FTPIM_BATCH  = <int>    override batch size
 //   FTPIM_THREADS= <int>    override worker thread count
+//
+// Every numeric knob is read strictly (env_int / env_double): a value that
+// does not parse in full, or falls outside its range, throws instead of
+// silently running a different experiment.
 #pragma once
 
+#include <limits>
 #include <string>
 
 namespace ftpim {
@@ -30,26 +36,25 @@ struct RunScale {
 };
 
 /// Resolves the active scale from the environment (see file comment).
+/// Throws ContractViolation naming the variable on an unknown FTPIM_SCALE
+/// preset and on any field below 1 (or not a whole number).
 [[nodiscard]] RunScale run_scale();
 
-/// Reads an integer env var, returning fallback when unset/unparsable.
-[[nodiscard]] int env_int(const char* name, int fallback);
+/// Reads an integer env var. Unset or empty returns `fallback` (the knob is
+/// optional, not mistyped); anything else must parse IN FULL as a decimal
+/// integer inside [lo_inclusive, hi_inclusive] or the call throws
+/// ContractViolation naming the variable and the offending text, so a typo
+/// ("1O", "abc", a value that overflows int) never silently changes the run.
+[[nodiscard]] int env_int(const char* name, int fallback,
+                          int lo_inclusive = std::numeric_limits<int>::min(),
+                          int hi_inclusive = std::numeric_limits<int>::max());
 
-/// Reads a float env var, returning fallback when unset/unparsable.
-[[nodiscard]] double env_double(const char* name, double fallback);
-
-/// Strict variant for knobs where a typo must not silently fall back: the
-/// value must parse IN FULL as a finite number inside (lo, hi] or the call
-/// throws ContractViolation naming the env var and the offending text.
-/// Unset/empty still returns fallback (the knob is optional, not mistyped).
-[[nodiscard]] double env_double_in(const char* name, double fallback, double lo_exclusive,
-                                   double hi_inclusive);
-
-/// Integer sibling of env_double_in: the value must parse IN FULL as a
-/// decimal integer inside [lo, hi] or the call throws ContractViolation.
-/// Unset/empty returns fallback. FTPIM_THREADS goes through this — a
-/// mistyped worker count must fail loudly, not silently serialize the run.
-[[nodiscard]] int env_int_in(const char* name, int fallback, int lo_inclusive, int hi_inclusive);
+/// Reads a floating-point env var with env_int's rules: the value must parse
+/// IN FULL as a finite number inside (lo_exclusive, hi_inclusive].
+[[nodiscard]] double env_double(
+    const char* name, double fallback,
+    double lo_exclusive = -std::numeric_limits<double>::infinity(),
+    double hi_inclusive = std::numeric_limits<double>::max());
 
 /// Reads a string env var, returning fallback when unset.
 [[nodiscard]] std::string env_string(const char* name, const std::string& fallback);

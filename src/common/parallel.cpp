@@ -41,7 +41,7 @@ int num_threads() {
   static const int cached = [] {
     const int hw = static_cast<int>(std::thread::hardware_concurrency());
     const int fallback = hw > 0 ? hw : 2;
-    return env_int_in("FTPIM_THREADS", fallback, 1, kMaxThreads);
+    return env_int("FTPIM_THREADS", fallback, 1, kMaxThreads);
   }();
   return cached;
 }

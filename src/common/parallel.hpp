@@ -15,7 +15,7 @@ namespace ftpim {
 
 /// Number of worker threads parallel_for_chunks will use: set_num_threads()
 /// override if active, else env FTPIM_THREADS, else hardware_concurrency.
-/// FTPIM_THREADS is parsed strictly (env_int_in): a malformed or
+/// FTPIM_THREADS is parsed strictly (env_int): a malformed or
 /// out-of-range value throws ContractViolation on the first call instead of
 /// silently falling back — the worker count decides wall-clock AND chunking,
 /// so a typo must be loud.

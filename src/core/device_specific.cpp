@@ -51,7 +51,8 @@ double evaluate_on_device(Module& model, const Dataset& data, double p_sa,
                           std::uint64_t defect_master_seed, std::uint64_t device_index) {
   const StuckAtFaultModel fault_model(p_sa, sa0_fraction);
   Rng rng(device_stream(defect_master_seed, device_index));
-  const WeightFaultGuard guard(model, fault_model, injector, rng);
+  FaultInjectionSession session(model);  // restores the clean weights on return
+  session.inject(fault_model, injector, rng);
   return evaluate_accuracy(model, data);
 }
 

@@ -15,8 +15,6 @@ constexpr char kChunkCursor[] = "CURS";
 constexpr char kChunkModel[] = "MODL";
 constexpr char kChunkOptimizer[] = "OPTM";
 constexpr char kChunkRng[] = "RNGS";
-constexpr char kChunkDefectMap[] = "DMAP";
-constexpr char kChunkAging[] = "AGEM";
 
 constexpr std::uint64_t kMaxStages = 1u << 16;
 constexpr std::uint64_t kMaxEpochsPerStage = 1u << 24;
@@ -54,17 +52,6 @@ void save_training_checkpoint(const TrainingCheckpoint& ckpt, const std::string&
     rng.f32(state.cached);
   }
   writer.add_chunk(kChunkRng, rng.take());
-
-  if (ckpt.defect_map.has_value()) {
-    ByteWriter dmap;
-    ckpt.defect_map->encode(dmap);
-    writer.add_chunk(kChunkDefectMap, dmap.take());
-  }
-  if (ckpt.aging.has_value()) {
-    ByteWriter aging;
-    ckpt.aging->encode(aging);
-    writer.add_chunk(kChunkAging, aging.take());
-  }
 
   writer.write(path);
 }
@@ -127,17 +114,6 @@ TrainingCheckpoint load_training_checkpoint(const std::string& path) {
     ckpt.rng_streams.emplace_back(std::move(name), state);
   }
   rng.expect_done();
-
-  if (reader.has_chunk(kChunkDefectMap)) {
-    ByteReader dmap = reader.reader(kChunkDefectMap);
-    ckpt.defect_map = DefectMap::decode(dmap);
-    dmap.expect_done();
-  }
-  if (reader.has_chunk(kChunkAging)) {
-    ByteReader aging = reader.reader(kChunkAging);
-    ckpt.aging = AgingConfig::decode(aging);
-    aging.expect_done();
-  }
   return ckpt;
 }
 

@@ -15,25 +15,22 @@
 //         progressive scheme builds a fresh optimizer anyway);
 //   RNGS  the long-lived RNG streams (the DataLoader's augmentation Rng) —
 //         every other stochastic input (shuffle order, fault draws, LR) is a
-//         pure function of the cursor and the seeds in CFG0;
-//   DMAP  (optional) the active per-device DefectMap, for device-specific
-//         flows that train against a fixed physical defect pattern;
-//   AGEM  (optional) AgingConfig, for serving-lifetime snapshots.
+//         pure function of the cursor and the seeds in CFG0.
+//
+// The reader skips chunks it does not know (their CRC still has to check),
+// so files that carry the retired optional DMAP/AGEM chunks still load.
 //
 // Files are written through CheckpointWriter/AtomicFileWriter, so a crash at
 // any byte leaves either the previous checkpoint or a complete new one.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "src/common/rng.hpp"
 #include "src/tensor/serialize.hpp"
-#include "src/reram/aging.hpp"
-#include "src/reram/defect_map.hpp"
 
 namespace ftpim {
 
@@ -63,9 +60,6 @@ struct TrainingCheckpoint {
   StateDict optimizer;
   /// Named long-lived RNG streams, e.g. {"dataloader.augment", state}.
   std::vector<std::pair<std::string, RngState>> rng_streams;
-
-  std::optional<DefectMap> defect_map;
-  std::optional<AgingConfig> aging;
 };
 
 /// Writes `ckpt` to `path` atomically (temp + fsync + rename). Throws

@@ -65,7 +65,6 @@ DeviceTick VirtualDevice::step(std::int64_t tick, const CanarySet& probe) {
   const std::int64_t added =
       pool_->advance_aging(0, aging_, aging_.intervals_at(served_batches_));
   out.aged_cells = added;
-  aged_cells_ += added;
   if (added > 0 && quantized() && transients_.fault_count() > 0) {
     // advance_aging re-applied the persistent map over the engines; layer
     // the surviving upsets back on top (last-write-wins on overlap).
@@ -82,7 +81,6 @@ DeviceTick VirtualDevice::step(std::int64_t tick, const CanarySet& probe) {
     const StuckAtFaultModel upset(config_->p_transient_per_tick, config_->sa0_fraction);
     const std::int64_t landed = transients_.merge_from(DefectMap::sample(cells_, upset, rng));
     out.transient_cells = landed;
-    transient_cells_ += landed;
     if (landed > 0) pool_->deployment(0)->apply_defect_map(transients_);
   }
 
@@ -91,7 +89,6 @@ DeviceTick VirtualDevice::step(std::int64_t tick, const CanarySet& probe) {
   const int passes = score_canary(logits, probe);
   out.probe_accuracy =
       static_cast<double>(passes) / static_cast<double>(probe.count());
-  last_probe_accuracy_ = out.probe_accuracy;
   for (int i = 0; i < passes; ++i) window_.record(true);
   for (int i = passes; i < static_cast<int>(probe.count()); ++i) window_.record(false);
 
@@ -103,7 +100,6 @@ DeviceTick VirtualDevice::step(std::int64_t tick, const CanarySet& probe) {
     }
   }
   if (flagged) {
-    ++detections_;
     ++consecutive_detections_;
     out.detections = 1;
   } else {
@@ -152,7 +148,6 @@ void VirtualDevice::do_refresh() {
   // through refreshes is exactly what escalates to a repair.
   pool_->refresh(0);
   transients_ = DefectMap::empty(cells_);
-  ++scrubs_;
   ticks_since_heal_ = 0;
 }
 
@@ -164,7 +159,6 @@ void VirtualDevice::do_repair() {
   window_.reset();
   served_batches_ = 0;
   consecutive_detections_ = 0;
-  ++repairs_;
   ticks_since_heal_ = 0;
 }
 
@@ -176,12 +170,6 @@ void VirtualDevice::encode_state(ByteWriter& out) const {
   out.i64(served_batches_);
   out.i64(ticks_since_heal_);
   out.i64(consecutive_detections_);
-  out.i64(repairs_);
-  out.i64(scrubs_);
-  out.i64(detections_);
-  out.i64(aged_cells_);
-  out.i64(transient_cells_);
-  out.f64(last_probe_accuracy_);
   window_.encode(out);
   transients_.encode(out);
   // Echo of the persistent map: redundant with (config, generation,
@@ -207,12 +195,6 @@ void VirtualDevice::restore_state(ByteReader& in) {
   served_batches_ = in.i64();
   ticks_since_heal_ = in.i64();
   consecutive_detections_ = in.i64();
-  repairs_ = in.i64();
-  scrubs_ = in.i64();
-  detections_ = in.i64();
-  aged_cells_ = in.i64();
-  transient_cells_ = in.i64();
-  last_probe_accuracy_ = in.f64();
   window_ = OutcomeWindow::decode(in);
   DefectMap transients = DefectMap::decode(in);
   DefectMap map_echo = DefectMap::decode(in);

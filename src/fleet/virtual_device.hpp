@@ -27,11 +27,14 @@
 // is what lets FleetSimulator fan devices out over parallel_for_chunks and
 // restore them in parallel from a checkpoint.
 //
-// Checkpointing: encode_state() captures the device's evolving state
-// (counters, outcome window, transient map) plus an echo of its persistent
-// defect map. restore_state() rebuilds the pool by REPLAY — repair() per
-// generation, advance_aging() to the recorded interval — then byte-compares
-// the reconstructed map against the echo and throws
+// Checkpointing: encode_state() captures the device's evolving state (the
+// counters the lifecycle and the repair policy read, the outcome window, the
+// transient map) plus an echo of its persistent defect map. Per-device
+// lifetime totals are not kept: each step() reports its tick in a DeviceTick
+// and the simulator's timeline (TickAggregate) carries the fleet totals.
+// restore_state() rebuilds the pool by REPLAY — repair() per generation,
+// advance_aging() to the recorded interval — then byte-compares the
+// reconstructed map against the echo and throws
 // CheckpointError(kStateMismatch) on any divergence, so a checkpoint from a
 // different seed/config can never silently resume.
 #pragma once
@@ -83,17 +86,6 @@ class VirtualDevice {
   /// Tick the device died on, or -1 while alive.
   [[nodiscard]] std::int64_t dead_at() const noexcept { return dead_at_; }
 
-  // Lifetime totals (survive repairs; the policy-comparison accounting).
-  [[nodiscard]] std::int64_t repairs() const noexcept { return repairs_; }
-  [[nodiscard]] std::int64_t scrubs() const noexcept { return scrubs_; }
-  [[nodiscard]] std::int64_t detections() const noexcept { return detections_; }
-  [[nodiscard]] std::int64_t aged_cells() const noexcept { return aged_cells_; }
-  [[nodiscard]] std::int64_t transient_cells() const noexcept { return transient_cells_; }
-
-  /// Probe accuracy measured on the most recent live tick (1.0 before the
-  /// first step).
-  [[nodiscard]] double last_probe_accuracy() const noexcept { return last_probe_accuracy_; }
-
   /// The underlying pool (tests introspect maps/generations through it).
   [[nodiscard]] const serve::ReplicaPool& pool() const noexcept { return *pool_; }
 
@@ -125,12 +117,6 @@ class VirtualDevice {
   std::int64_t served_batches_ = 0;  ///< since last repair (drives aging)
   std::int64_t ticks_since_heal_ = 0;
   std::int64_t consecutive_detections_ = 0;
-  std::int64_t repairs_ = 0;
-  std::int64_t scrubs_ = 0;
-  std::int64_t detections_ = 0;
-  std::int64_t aged_cells_ = 0;
-  std::int64_t transient_cells_ = 0;
-  double last_probe_accuracy_ = 1.0;
   OutcomeWindow window_;
   DefectMap transients_;  ///< accumulated un-healed upsets (quantized only)
 };

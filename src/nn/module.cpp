@@ -10,6 +10,14 @@ std::vector<Param*> parameters_of(Module& root, const std::string& prefix) {
   return params;
 }
 
+std::vector<Param*> crossbar_params(Module& root) {
+  std::vector<Param*> params;
+  for (Param* p : parameters_of(root)) {
+    if (p->kind == ParamKind::kCrossbarWeight) params.push_back(p);
+  }
+  return params;
+}
+
 std::vector<Module*> modules_of(Module& root) {
   std::vector<Module*> modules;
   root.collect_modules(modules);

@@ -82,6 +82,12 @@ class Module {
 /// All parameters of `root` with hierarchical names.
 std::vector<Param*> parameters_of(Module& root, const std::string& prefix = "");
 
+/// The ParamKind::kCrossbarWeight subset of parameters_of(root), in the same
+/// order: the weights that live on crossbar cells, which fault injection,
+/// variation and pruning act on. Weight i of this concatenated walk owns
+/// model cells 2i and 2i+1, the convention QuantizedDeployment checks.
+std::vector<Param*> crossbar_params(Module& root);
+
 /// Flat pre-order walk of the module tree (root first).
 std::vector<Module*> modules_of(Module& root);
 

@@ -8,7 +8,7 @@
 namespace ftpim {
 
 AdmmPruner::AdmmPruner(Module& root, const AdmmConfig& config)
-    : params_(prunable_params(root)), config_(config) {
+    : params_(crossbar_params(root)), config_(config) {
   FTPIM_CHECK(!(config.sparsity < 0.0 || config.sparsity >= 1.0), "AdmmPruner: sparsity must be in [0,1)");
   FTPIM_CHECK(!(config.rho <= 0.0f), "AdmmPruner: rho must be positive");
   FTPIM_CHECK(!(params_.empty()), "AdmmPruner: no prunable parameters");

@@ -61,7 +61,7 @@ std::vector<PruneMask> global_prune(const std::vector<Param*>& params, double sp
 
 std::vector<PruneMask> magnitude_prune(Module& root, const MagnitudePruneConfig& config) {
   FTPIM_CHECK(!(config.sparsity < 0.0 || config.sparsity >= 1.0), "magnitude_prune: sparsity must be in [0,1)");
-  const std::vector<Param*> params = prunable_params(root);
+  const std::vector<Param*> params = crossbar_params(root);
   FTPIM_CHECK(!(params.empty()), "magnitude_prune: no prunable parameters");
   return config.scope == PruneScope::kGlobal ? global_prune(params, config.sparsity)
                                              : per_layer_prune(params, config.sparsity);

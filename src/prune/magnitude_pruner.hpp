@@ -20,7 +20,7 @@ struct MagnitudePruneConfig {
   PruneScope scope = PruneScope::kGlobal;
 };
 
-/// Prunes in place and returns the masks (parallel to prunable_params(root)).
+/// Prunes in place and returns the masks (parallel to crossbar_params(root)).
 std::vector<PruneMask> magnitude_prune(Module& root, const MagnitudePruneConfig& config);
 
 }  // namespace ftpim

@@ -20,17 +20,9 @@ std::int64_t PruneMask::kept() const {
 
 std::int64_t PruneMask::pruned() const { return mask.numel() - kept(); }
 
-std::vector<Param*> prunable_params(Module& root) {
-  std::vector<Param*> out;
-  for (Param* p : parameters_of(root)) {
-    if (p->kind == ParamKind::kCrossbarWeight) out.push_back(p);
-  }
-  return out;
-}
-
 double model_sparsity(Module& root) {
   std::int64_t zeros = 0, total = 0;
-  for (const Param* p : prunable_params(root)) {
+  for (const Param* p : crossbar_params(root)) {
     zeros += count_zeros(p->value);
     total += p->value.numel();
   }
@@ -79,7 +71,7 @@ void apply_mask(Tensor& values, const Tensor& mask) {
 std::string sparsity_report(Module& root) {
   std::ostringstream oss;
   oss << "layer sparsity:\n";
-  for (const Param* p : prunable_params(root)) {
+  for (const Param* p : crossbar_params(root)) {
     const double s =
         static_cast<double>(count_zeros(p->value)) / static_cast<double>(p->value.numel());
     oss << "  " << p->name << "  " << shape_to_string(p->value.shape()) << "  "

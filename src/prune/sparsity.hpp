@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "src/nn/module.hpp"
 #include "src/tensor/tensor.hpp"
@@ -20,9 +19,6 @@ struct PruneMask {
 
 /// Fraction of zero weights among crossbar weights of a network.
 double model_sparsity(Module& root);
-
-/// Crossbar-weight parameters of a network (the prunable set).
-std::vector<Param*> prunable_params(Module& root);
 
 /// Builds a keep-mask retaining the `keep_count` largest-magnitude entries of
 /// `values` (global threshold within the tensor).

@@ -6,29 +6,6 @@
 
 namespace ftpim::abft {
 
-void TileFaultReport::merge_from(const TileFaultReport& other) {
-  checks += other.checks;
-  mismatches += other.mismatches;
-  if (other.tiles.empty()) return;
-  std::vector<TileFaultCount> merged;
-  merged.reserve(tiles.size() + other.tiles.size());
-  auto a = tiles.begin();
-  auto b = other.tiles.begin();
-  const auto key = [](const TileFaultCount& t) { return std::pair{t.row_tile, t.col_tile}; };
-  while (a != tiles.end() || b != other.tiles.end()) {
-    if (b == other.tiles.end() || (a != tiles.end() && key(*a) < key(*b))) {
-      merged.push_back(*a++);
-    } else if (a == tiles.end() || key(*b) < key(*a)) {
-      merged.push_back(*b++);
-    } else {
-      merged.push_back({a->row_tile, a->col_tile, a->mismatches + b->mismatches});
-      ++a;
-      ++b;
-    }
-  }
-  tiles = std::move(merged);
-}
-
 std::int64_t checksum_digit_columns(int levels, std::int64_t data_cols) {
   FTPIM_CHECK_GE(levels, 2);
   FTPIM_CHECK_GE(data_cols, 1);

@@ -65,8 +65,6 @@ struct TileFaultReport {
   [[nodiscard]] std::int64_t flagged_tiles() const noexcept {
     return static_cast<std::int64_t>(tiles.size());
   }
-  /// Folds another report for the same engine geometry into this one.
-  void merge_from(const TileFaultReport& other);
 };
 
 /// Number of base-L digit columns needed to hold the largest possible row

@@ -1,7 +1,6 @@
 #include "src/reram/aging.hpp"
 
 #include "src/common/check.hpp"
-#include "src/common/checkpoint.hpp"
 #include "src/common/rng.hpp"
 
 namespace ftpim {
@@ -19,27 +18,6 @@ void AgingConfig::validate() const {
   FTPIM_CHECK_GT(interval_batches, std::int64_t{0}, "AgingConfig: interval_batches");
   FTPIM_CHECK(sa0_fraction >= 0.0 && sa0_fraction <= 1.0,
               "AgingConfig: sa0_fraction outside [0,1]");
-}
-
-void AgingConfig::encode(ByteWriter& out) const {
-  out.f64(p_new_per_interval);
-  out.i64(interval_batches);
-  out.f64(sa0_fraction);
-  out.u64(seed);
-}
-
-AgingConfig AgingConfig::decode(ByteReader& in) {
-  AgingConfig config;
-  config.p_new_per_interval = in.f64();
-  config.interval_batches = in.i64();
-  config.sa0_fraction = in.f64();
-  config.seed = in.u64();
-  try {
-    config.validate();
-  } catch (const ContractViolation& e) {
-    throw CheckpointError(CheckpointErrorKind::kFormat, "", e.what());
-  }
-  return config;
 }
 
 AgingModel::AgingModel(const AgingConfig& config) : config_(config) { config.validate(); }

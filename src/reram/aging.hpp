@@ -23,9 +23,6 @@
 
 namespace ftpim {
 
-class ByteWriter;
-class ByteReader;
-
 struct AgingConfig {
   /// Per-cell probability that a healthy cell fails during one aging
   /// interval; 0 disables aging entirely.
@@ -37,13 +34,6 @@ struct AgingConfig {
 
   [[nodiscard]] bool enabled() const noexcept { return p_new_per_interval > 0.0; }
   void validate() const;
-
-  /// Checkpoint encoding. An AgingModel is a pure function of its config —
-  /// (seed, device stream, interval) fully determine every fault batch — so
-  /// the config IS the model state: round-tripping it through decode()
-  /// reproduces the exact same degradation trajectory.
-  void encode(ByteWriter& out) const;
-  [[nodiscard]] static AgingConfig decode(ByteReader& in);
 };
 
 class AgingModel {

@@ -4,7 +4,14 @@
 
 #include <algorithm>
 
+#include "src/tensor/tensor.hpp"
+
 namespace ftpim {
+
+float tensor_w_max(const Tensor& weights) {
+  const float m = weights.abs_max();
+  return m > 0.0f ? m : 1.0f;
+}
 
 DifferentialMapper::DifferentialMapper(ConductanceRange range, float w_max)
     : range_(range), w_max_(w_max) {

@@ -30,9 +30,15 @@ struct CellPair {
   float g_neg = 0.0f;
 };
 
+class Tensor;
+
+/// The full-scale weight magnitude a tensor is mapped with: its abs-max, or
+/// 1 for an all-zero tensor (any scale maps zeros to zeros).
+[[nodiscard]] float tensor_w_max(const Tensor& weights);
+
 class DifferentialMapper {
  public:
-  /// w_max is the full-scale weight magnitude (per-tensor abs-max in practice).
+  /// w_max is the full-scale weight magnitude (tensor_w_max in practice).
   DifferentialMapper(ConductanceRange range, float w_max);
 
   /// Weight -> differential conductance pair. Weights beyond ±w_max saturate.

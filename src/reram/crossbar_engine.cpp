@@ -6,14 +6,13 @@
 
 namespace ftpim {
 
-CrossbarEngine::CrossbarEngine(const Tensor& weights, const CrossbarEngineConfig& config,
-                               float w_max)
+CrossbarEngine::CrossbarEngine(const Tensor& weights, const CrossbarEngineConfig& config)
     : config_(config) {
   FTPIM_CHECK(!(weights.rank() != 2), "CrossbarEngine: [out,in] matrix required");
   FTPIM_CHECK(!(config.tile_rows <= 0 || config.tile_cols <= 1 || config.tile_cols % 2 != 0), "CrossbarEngine: tile_cols must be even and positive");
   out_ = weights.dim(0);
   in_ = weights.dim(1);
-  w_max_ = w_max > 0.0f ? w_max : (weights.abs_max() > 0.0f ? weights.abs_max() : 1.0f);
+  w_max_ = tensor_w_max(weights);
   outs_per_tile_ = config.tile_cols / 2;
   row_tiles_ = (in_ + config.tile_rows - 1) / config.tile_rows;
   col_tiles_ = (out_ + outs_per_tile_ - 1) / outs_per_tile_;

@@ -32,8 +32,8 @@ struct CrossbarEngineConfig {
 
 class CrossbarEngine {
  public:
-  /// Programs W [out, in] onto tiles. w_max <= 0 means per-matrix abs-max.
-  CrossbarEngine(const Tensor& weights, const CrossbarEngineConfig& config, float w_max = 0.0f);
+  /// Programs W [out, in] onto tiles with w_max = tensor_w_max(W).
+  CrossbarEngine(const Tensor& weights, const CrossbarEngineConfig& config);
 
   [[nodiscard]] std::int64_t tile_count() const noexcept { return row_tiles_ * col_tiles_; }
   [[nodiscard]] std::int64_t total_cells() const noexcept {

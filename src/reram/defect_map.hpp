@@ -67,8 +67,9 @@ class DefectMap {
   [[nodiscard]] std::int64_t count(FaultType type) const noexcept;
 
   /// Appends the map's checkpoint encoding (cell_count, fault list) to `out`.
-  /// Round-trips exactly through decode(); the DMAP chunk of a training
-  /// checkpoint carries this encoding (DESIGN.md §10).
+  /// Round-trips exactly through decode(); each fleet device record (the
+  /// FLDV chunk, DESIGN.md §15) carries its transient and persistent maps in
+  /// this encoding.
   void encode(ByteWriter& out) const;
 
   /// Parses an encode()d map; throws CheckpointError (kTruncated/kFormat) on

@@ -9,11 +9,12 @@
 // quant_levels = L (the seeded three-way test in
 // tests/crossbar_engine_test.cpp).
 //
-// The primitive is apply_faults_to_copy: a PURE function from a clean weight
-// tensor to a faulted copy + hit mask that never touches the source. The
-// in-place path (apply_stuck_at_faults), the reusable FaultInjectionSession,
-// and the RAII WeightFaultGuard are all built on it; the parallel defect
-// evaluator runs one session per worker-thread model clone.
+// stuck_pair_readback is the one read-back of a pair. Its callers differ
+// only in where the cell faults come from: apply_stuck_at_faults draws them
+// per cell from the RNG (the evaluator and FT training run it through a
+// FaultInjectionSession, one per worker-thread model clone),
+// apply_defect_map_to_model reads them from a device's DefectMap, and
+// R-modular redundancy (redundancy.hpp) draws them per replica.
 #pragma once
 
 #include <atomic>
@@ -25,63 +26,92 @@
 #include "src/reram/conductance.hpp"
 #include "src/reram/defect_map.hpp"
 #include "src/reram/fault_model.hpp"
+#include "src/reram/quantizer.hpp"
 #include "src/tensor/tensor.hpp"
 
 namespace ftpim {
 
-/// Every tensor maps onto its differential pairs with w_max = its abs-max.
+/// Every tensor maps onto its differential pairs with w_max = tensor_w_max.
 struct InjectorConfig {
   ConductanceRange range{};
   int quant_levels = 0;       ///< 0 = analog cells (paper setting)
 };
 
 struct InjectionStats {
-  std::int64_t cells = 0;             ///< 2 * weights
+  std::int64_t cells = 0;             ///< 2 per weight (2R under R-modular redundancy)
   std::int64_t faulted_cells = 0;
-  std::int64_t affected_weights = 0;  ///< weights whose value changed
+  std::int64_t affected_weights = 0;  ///< weights whose read-back value changed
   [[nodiscard]] double cell_fault_rate() const noexcept {
     return cells > 0 ? static_cast<double>(faulted_cells) / static_cast<double>(cells) : 0.0;
   }
+  InjectionStats& operator+=(const InjectionStats& other) noexcept {
+    cells += other.cells;
+    faulted_cells += other.faulted_cells;
+    affected_weights += other.affected_weights;
+    return *this;
+  }
 };
 
-/// Non-mutating Apply_Fault: writes the faulted read-back of `src` into `dst`
-/// (reusing `dst`'s storage when the shape already matches) without touching
-/// `src`. The differential-pair w_max scale is derived from `src`, so the
-/// result is bit-identical to faulting `src` in place. If `hit_mask` is
-/// non-null it is shaped like `src` (storage reused too) and set to 1 at
-/// weights whose cells faulted.
-InjectionStats apply_faults_to_copy(const Tensor& src, Tensor& dst,
-                                    const StuckAtFaultModel& model, const InjectorConfig& config,
-                                    Rng& rng, Tensor* hit_mask = nullptr);
+/// Read-back of one weight's differential pair whose positive and negative
+/// cells carry `f_pos` / `f_neg`. A healthy pair of analog cells (quant
+/// levels 0) returns `weight` unchanged, with no conductance round trip.
+/// Otherwise the pair is programmed (snapped to the quantizer's levels when
+/// it has >= 2), each faulted cell is pinned — stuck-off at Gmin, stuck-on at
+/// Gmax — and the pair reads back through the differential equation.
+inline float stuck_pair_readback(float weight, FaultType f_pos, FaultType f_neg,
+                                 const DifferentialMapper& mapper,
+                                 const ConductanceQuantizer& quant) noexcept {
+  if (f_pos == FaultType::kNone && f_neg == FaultType::kNone && quant.levels() == 0) {
+    return weight;
+  }
+  CellPair cells = mapper.to_cells(weight);
+  if (quant.levels() >= 2) {
+    cells.g_pos = quant.quantize(cells.g_pos);
+    cells.g_neg = quant.quantize(cells.g_neg);
+  }
+  const ConductanceRange& range = mapper.range();
+  if (f_pos != FaultType::kNone) {
+    cells.g_pos = f_pos == FaultType::kStuckOff ? range.g_min : range.g_max;
+  }
+  if (f_neg != FaultType::kNone) {
+    cells.g_neg = f_neg == FaultType::kStuckOff ? range.g_min : range.g_max;
+  }
+  return mapper.to_weight(cells);
+}
 
-/// Applies stuck-at faults to `weights` in place (same RNG stream and float
-/// semantics as apply_faults_to_copy).
-InjectionStats apply_stuck_at_faults(Tensor& weights, const StuckAtFaultModel& model,
-                                     const InjectorConfig& config, Rng& rng,
-                                     Tensor* hit_mask = nullptr);
+/// Apply_Fault on one tensor: draws two cell faults per weight from `rng`
+/// (positive cell first) and writes the read-back of `src` into `dst`.
+/// `dst` may be `src` (in place); a distinct `dst` is reshaped like `src`,
+/// reusing its storage when the shape already matches, and `src` is never
+/// touched. The w_max scale is tensor_w_max(src). If `hit_mask` is non-null
+/// it is shaped like `src` (storage reused too) and set to 1 at weights that
+/// have a faulted cell and whose value changed.
+InjectionStats apply_stuck_at_faults(const Tensor& src, Tensor& dst,
+                                     const StuckAtFaultModel& model, const InjectorConfig& config,
+                                     Rng& rng, Tensor* hit_mask = nullptr);
 
 /// Injects into every crossbar-weight parameter of `model_root`.
 InjectionStats inject_into_model(Module& model_root, const StuckAtFaultModel& model,
                                  const InjectorConfig& config, Rng& rng);
 
 /// Cells `model_root` occupies on its differential-pair deployment: 2 cells
-/// per crossbar weight, concatenated in parameters_of order. This is the
+/// per crossbar weight, concatenated in crossbar_params order. This is the
 /// cell_count a DefectMap for the model must carry.
 [[nodiscard]] std::int64_t crossbar_cell_count(Module& model_root);
 
 /// Applies a cell-level DefectMap to every crossbar weight of `model_root`.
-/// Weight i of the concatenated parameter walk owns cells 2i (positive) and
-/// 2i+1 (negative); stuck cells pin to Gmin/Gmax and the weight reads back
-/// through the differential readout equation, exactly like the RNG-driven
-/// fault_kernel. Weights must hold their CLEAN values — map application is
-/// defined against the clean programming of each pair, which is why the
-/// serving layer's aging path rebuilds replicas from the pristine source
-/// before re-applying a grown map. The map's cell_count must equal
+/// Weight i of the crossbar_params walk owns cells 2i (positive) and 2i+1
+/// (negative); each pair reads back through stuck_pair_readback, exactly
+/// like the RNG-driven path. Weights must hold their CLEAN values — map
+/// application is defined against the clean programming of each pair, which
+/// is why the serving layer's aging path rebuilds replicas from the pristine
+/// source before re-applying a grown map. The map's cell_count must equal
 /// crossbar_cell_count(model_root).
 InjectionStats apply_defect_map_to_model(Module& model_root, const DefectMap& map,
                                          const InjectorConfig& config);
 
-/// Reusable inject/restore workspace bound to one network.
+/// Reusable inject/restore workspace bound to one network — the one way to
+/// fault a model's weights and get the clean ones back.
 ///
 /// Thread-safety contract: a session (like the Module it binds) is
 /// single-owner — one session per worker clone, never shared across threads
@@ -127,35 +157,6 @@ class FaultInjectionSession {
   InjectionStats stats_;
   bool injected_ = false;
   std::atomic<bool> busy_{false};  ///< inject() reentrancy/concurrency detector
-};
-
-/// RAII: snapshots all crossbar weights of a network, injects faults, and
-/// restores the clean weights on destruction (or on restore()). Thin
-/// single-shot wrapper over FaultInjectionSession.
-class WeightFaultGuard {
- public:
-  WeightFaultGuard(Module& model_root, const StuckAtFaultModel& model,
-                   const InjectorConfig& config, Rng& rng);
-
-  WeightFaultGuard(const WeightFaultGuard&) = delete;
-  WeightFaultGuard& operator=(const WeightFaultGuard&) = delete;
-
-  /// Restores clean weights early (idempotent).
-  void restore() noexcept { session_.restore(); }
-
-  [[nodiscard]] const InjectionStats& stats() const noexcept { return session_.stats(); }
-
-  /// Per-parameter hit masks, parallel to parameters_of(model) filtered to
-  /// crossbar weights; 1 where a cell fault changed the weight.
-  [[nodiscard]] const std::vector<Tensor>& hit_masks() const noexcept {
-    return session_.hit_masks();
-  }
-  [[nodiscard]] const std::vector<Param*>& faulted_params() const noexcept {
-    return session_.faulted_params();
-  }
-
- private:
-  FaultInjectionSession session_;
 };
 
 }  // namespace ftpim

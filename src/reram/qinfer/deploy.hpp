@@ -63,7 +63,7 @@ class EngineHook final : public MvmHook {
 class QuantizedDeployment {
  public:
   /// Programs every crossbar-weight layer of `model` onto a quantized
-  /// engine (per-matrix abs-max w_max, like the float injector's default)
+  /// engine (w_max = tensor_w_max of each matrix, like the float injector)
   /// and installs the hooks.
   QuantizedDeployment(Module& model, const QuantizedEngineConfig& config);
   ~QuantizedDeployment();

@@ -42,13 +42,13 @@ void QuantizedEngineConfig::validate() const {
 }
 
 QuantizedCrossbarEngine::QuantizedCrossbarEngine(const Tensor& weights,
-                                                 const QuantizedEngineConfig& config, float w_max)
+                                                 const QuantizedEngineConfig& config)
     : config_(config) {
   FTPIM_CHECK(!(weights.rank() != 2), "QuantizedCrossbarEngine: [out,in] matrix required");
   config_.validate();
   out_ = weights.dim(0);
   in_ = weights.dim(1);
-  w_max_ = w_max > 0.0f ? w_max : (weights.abs_max() > 0.0f ? weights.abs_max() : 1.0f);
+  w_max_ = tensor_w_max(weights);
   outs_per_tile_ = config_.tile_cols / 2;
   row_tiles_ = (in_ + config_.tile_rows - 1) / config_.tile_rows;
   col_tiles_ = (out_ + outs_per_tile_ - 1) / outs_per_tile_;

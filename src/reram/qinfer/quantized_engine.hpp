@@ -79,10 +79,9 @@ struct QuantizedEngineConfig {
 
 class QuantizedCrossbarEngine {
  public:
-  /// Programs W [out, in] onto level-index tiles. w_max <= 0 means
-  /// per-matrix abs-max (same convention as CrossbarEngine).
-  QuantizedCrossbarEngine(const Tensor& weights, const QuantizedEngineConfig& config,
-                          float w_max = 0.0f);
+  /// Programs W [out, in] onto level-index tiles with w_max =
+  /// tensor_w_max(W), like CrossbarEngine and the weight-space injector.
+  QuantizedCrossbarEngine(const Tensor& weights, const QuantizedEngineConfig& config);
 
   [[nodiscard]] std::int64_t out_features() const noexcept { return out_; }
   [[nodiscard]] std::int64_t in_features() const noexcept { return in_; }

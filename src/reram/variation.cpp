@@ -5,9 +5,7 @@
 namespace ftpim {
 
 void apply_conductance_variation(Tensor& weights, const VariationConfig& config, Rng& rng) {
-  float w_max = weights.abs_max();
-  if (w_max <= 0.0f) w_max = 1.0f;
-  const DifferentialMapper mapper(config.range, w_max);
+  const DifferentialMapper mapper(config.range, tensor_w_max(weights));
   const float g_min = config.range.g_min;
   const float g_max = config.range.g_max;
 
@@ -21,10 +19,7 @@ void apply_conductance_variation(Tensor& weights, const VariationConfig& config,
 }
 
 void apply_variation_to_model(Module& model_root, const VariationConfig& config, Rng& rng) {
-  for (Param* p : parameters_of(model_root)) {
-    if (p->kind != ParamKind::kCrossbarWeight) continue;
-    apply_conductance_variation(p->value, config, rng);
-  }
+  for (Param* p : crossbar_params(model_root)) apply_conductance_variation(p->value, config, rng);
 }
 
 }  // namespace ftpim

@@ -16,7 +16,7 @@ namespace ftpim {
 
 struct VariationConfig {
   float sigma = 0.1f;          ///< lognormal sigma of the programming error
-  ConductanceRange range{};    ///< w_max is each tensor's abs-max
+  ConductanceRange range{};    ///< w_max is tensor_w_max of each tensor
 };
 
 /// Applies lognormal conductance variation to `weights` in place through the

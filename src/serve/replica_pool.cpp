@@ -54,43 +54,45 @@ InjectionStats quantized_map_stats(const DefectMap& map) {
 
 }  // namespace
 
+void ReplicaPool::redeploy_float(Replica& rep) {
+  // Stuck-cell read-back is lossy, so a float die is always rebuilt from the
+  // pristine source with its whole map. A map without faults keeps the
+  // trained weights untouched (no quantization pass).
+  rep.model = source_->clone();
+  if (rep.map.fault_count() > 0) {
+    rep.stats = apply_defect_map_to_model(*rep.model, rep.map, config_.injector);
+  } else {
+    rep.stats = InjectionStats{};
+    rep.stats.cells = rep.map.cell_count();
+  }
+}
+
 void ReplicaPool::install(Replica& rep, int index) {
   // Tear down any previous deployment BEFORE replacing the model it hooks.
   rep.deployment.reset();
-  rep.model = source_->clone();
-  rep.stats = InjectionStats{};
   rep.aged_intervals = 0;
-  if (config_.engine == ReplicaEngine::kQuantized) {
-    rep.deployment = qinfer::deploy_quantized(*rep.model, config_.quantized);
-    rep.map = DefectMap::empty(rep.deployment->cell_count());
-    rep.stats.cells = rep.deployment->cell_count();
-    if (config_.p_sa > 0.0) {
-      const StuckAtFaultModel fault_model(config_.p_sa, config_.sa0_fraction);
-      Rng rng(seed_for(index, rep.generation));
-      rep.map = DefectMap::sample(rep.deployment->cell_count(), fault_model, rng);
-      rep.deployment->apply_defect_map(rep.map);
-      rep.stats = quantized_map_stats(rep.map);
-    }
-    // Accept the manufacturing defects of this die as the ABFT reference
-    // state: an FT-trained network tolerates them, so they must not ring the
-    // detector forever (and trigger repair thrash). Aging faults land AFTER
-    // this baseline and are detected within one batch.
-    if (rep.deployment->abft_enabled()) rep.deployment->abft_rebaseline();
-    return;
-  }
-  const std::int64_t cells = crossbar_cell_count(*rep.model);
+  // A pristine fleet carries an empty map so in-service aging has a cell
+  // array to grow into.
+  const std::int64_t cells = crossbar_cell_count(*source_);
+  rep.map = DefectMap::empty(cells);
   if (config_.p_sa > 0.0) {
     const StuckAtFaultModel fault_model(config_.p_sa, config_.sa0_fraction);
     Rng rng(seed_for(index, rep.generation));
     rep.map = DefectMap::sample(cells, fault_model, rng);
-    rep.stats = apply_defect_map_to_model(*rep.model, rep.map, config_.injector);
-  } else {
-    // Pristine deployment: keep the trained weights untouched (no map, no
-    // quantization pass) but carry an empty map so in-service aging has a
-    // cell array to grow into.
-    rep.map = DefectMap::empty(cells);
-    rep.stats.cells = cells;
   }
+  if (config_.engine != ReplicaEngine::kQuantized) {
+    redeploy_float(rep);
+    return;
+  }
+  rep.model = source_->clone();
+  rep.deployment = qinfer::deploy_quantized(*rep.model, config_.quantized);
+  if (config_.p_sa > 0.0) rep.deployment->apply_defect_map(rep.map);
+  rep.stats = quantized_map_stats(rep.map);
+  // Accept the manufacturing defects of this die as the ABFT reference
+  // state: an FT-trained network tolerates them, so they must not ring the
+  // detector forever (and trigger repair thrash). Aging faults land AFTER
+  // this baseline and are detected within one batch.
+  if (rep.deployment->abft_enabled()) rep.deployment->abft_rebaseline();
 }
 
 const ReplicaPool::Replica& ReplicaPool::at(int index, const char* what) const {
@@ -142,13 +144,7 @@ std::int64_t ReplicaPool::refresh(int index) {
     }
     return tiles;
   }
-  rep.model = source_->clone();
-  if (rep.map.fault_count() > 0) {
-    rep.stats = apply_defect_map_to_model(*rep.model, rep.map, config_.injector);
-  } else {
-    rep.stats = InjectionStats{};
-    rep.stats.cells = rep.map.cell_count();
-  }
+  redeploy_float(rep);
   return 0;
 }
 
@@ -167,11 +163,7 @@ std::int64_t ReplicaPool::advance_aging(int index, const AgingModel& aging,
       rep.deployment->apply_defect_map(rep.map);
       rep.stats = quantized_map_stats(rep.map);
     } else {
-      // Stuck-cell readback is lossy, so the grown map cannot be layered
-      // onto the already-faulted weights: re-deploy from the pristine
-      // source.
-      rep.model = source_->clone();
-      rep.stats = apply_defect_map_to_model(*rep.model, rep.map, config_.injector);
+      redeploy_float(rep);
     }
   }
   return added;

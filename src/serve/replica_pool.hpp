@@ -166,6 +166,8 @@ class ReplicaPool {
 
   [[nodiscard]] std::uint64_t seed_for(int index, int generation) const;
   void install(Replica& rep, int index);  ///< clone source + apply the map for its seed
+  /// Float path: fresh clone of the pristine source + the replica's whole map.
+  void redeploy_float(Replica& rep);
   [[nodiscard]] const Replica& at(int index, const char* what) const;
   [[nodiscard]] Replica& at(int index, const char* what);
 

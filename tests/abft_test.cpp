@@ -53,31 +53,6 @@ TEST(Abft, ChecksumDigitColumnsCoverTheWorstRowSum) {
   EXPECT_EQ(abft::checksum_digit_columns(4, 1000), 6);  // 3000, 4^6=4096
 }
 
-TEST(Abft, ReportMergeFoldsTilesAndTotals) {
-  abft::TileFaultReport a;
-  a.checks = 10;
-  a.mismatches = 2;
-  a.tiles = {{0, 1, 1}, {2, 0, 1}};
-  abft::TileFaultReport b;
-  b.checks = 5;
-  b.mismatches = 3;
-  b.tiles = {{0, 0, 1}, {0, 1, 2}};
-  a.merge_from(b);
-  EXPECT_EQ(a.checks, 15);
-  EXPECT_EQ(a.mismatches, 5);
-  EXPECT_FALSE(a.clean());
-  ASSERT_EQ(a.flagged_tiles(), 3);
-  // (row, col)-sorted; the shared tile (0,1) merged its counts.
-  EXPECT_EQ(a.tiles[0].row_tile, 0);
-  EXPECT_EQ(a.tiles[0].col_tile, 0);
-  EXPECT_EQ(a.tiles[0].mismatches, 1);
-  EXPECT_EQ(a.tiles[1].row_tile, 0);
-  EXPECT_EQ(a.tiles[1].col_tile, 1);
-  EXPECT_EQ(a.tiles[1].mismatches, 3);
-  EXPECT_EQ(a.tiles[2].row_tile, 2);
-  EXPECT_EQ(a.tiles[2].mismatches, 1);
-}
-
 TEST(Abft, AccumulatorTakeDrainsAndStaysArmed) {
   abft::AbftAccumulator acc;
   EXPECT_FALSE(acc.armed());

@@ -18,7 +18,6 @@
 #include "src/common/rng.hpp"
 #include "src/tensor/serialize.hpp"
 #include "src/core/train_checkpoint.hpp"
-#include "src/reram/aging.hpp"
 #include "src/reram/defect_map.hpp"
 #include "src/tensor/tensor.hpp"
 #include "test_util.hpp"
@@ -333,15 +332,29 @@ TrainingCheckpoint sample_checkpoint() {
   Rng rng(2024);
   (void)rng.normal();  // populate the Box-Muller cache
   ckpt.rng_streams.emplace_back("dataloader.augment", rng.state());
-
-  Rng map_rng(7);
-  ckpt.defect_map = DefectMap::sample(256, StuckAtFaultModel(0.05, 0.8), map_rng);
-  AgingConfig aging;
-  aging.p_new_per_interval = 1e-4;
-  aging.interval_batches = 32;
-  aging.seed = 1234;
-  ckpt.aging = aging;
   return ckpt;
+}
+
+/// The image of `ckpt` as older builds wrote it when a device map and an
+/// aging config were attached: the same chunks plus DMAP and AGEM.
+std::vector<std::uint8_t> image_with_retired_chunks(const TrainingCheckpoint& ckpt,
+                                                    const fs::path& dir) {
+  const fs::path plain = dir / "plain.ftck";
+  save_training_checkpoint(ckpt, plain.string());
+  const CheckpointReader reader(plain.string());
+  CheckpointWriter writer;
+  for (const CheckpointChunk& c : reader.chunks()) writer.add_chunk(c.tag, c.payload);
+  Rng map_rng(7);
+  ByteWriter dmap;
+  DefectMap::sample(256, StuckAtFaultModel(0.05, 0.8), map_rng).encode(dmap);
+  writer.add_chunk("DMAP", dmap.take());
+  ByteWriter agem;  // p_new_per_interval, interval_batches, sa0_fraction, seed
+  agem.f64(1e-4);
+  agem.i64(32);
+  agem.f64(kPaperSa0Fraction);
+  agem.u64(1234);
+  writer.add_chunk("AGEM", agem.take());
+  return writer.serialize();
 }
 
 void expect_equal(const TrainingCheckpoint& a, const TrainingCheckpoint& b) {
@@ -360,22 +373,6 @@ void expect_equal(const TrainingCheckpoint& a, const TrainingCheckpoint& b) {
     EXPECT_EQ(a.rng_streams[i].first, b.rng_streams[i].first);
     EXPECT_TRUE(a.rng_streams[i].second == b.rng_streams[i].second);
   }
-  ASSERT_EQ(a.defect_map.has_value(), b.defect_map.has_value());
-  if (a.defect_map) {
-    EXPECT_EQ(a.defect_map->cell_count(), b.defect_map->cell_count());
-    ASSERT_EQ(a.defect_map->fault_count(), b.defect_map->fault_count());
-    for (std::size_t i = 0; i < a.defect_map->faults().size(); ++i) {
-      EXPECT_EQ(a.defect_map->faults()[i].cell_index, b.defect_map->faults()[i].cell_index);
-      EXPECT_EQ(a.defect_map->faults()[i].type, b.defect_map->faults()[i].type);
-    }
-  }
-  ASSERT_EQ(a.aging.has_value(), b.aging.has_value());
-  if (a.aging) {
-    EXPECT_EQ(a.aging->p_new_per_interval, b.aging->p_new_per_interval);
-    EXPECT_EQ(a.aging->interval_batches, b.aging->interval_batches);
-    EXPECT_EQ(a.aging->sa0_fraction, b.aging->sa0_fraction);
-    EXPECT_EQ(a.aging->seed, b.aging->seed);
-  }
 }
 
 TEST(TrainingCheckpointIo, RoundTripsExactly) {
@@ -387,16 +384,15 @@ TEST(TrainingCheckpointIo, RoundTripsExactly) {
   expect_equal(original, loaded);
 }
 
-TEST(TrainingCheckpointIo, OptionalChunksStayAbsent) {
-  const fs::path dir = scratch_dir("tc_no_optional");
+TEST(TrainingCheckpointIo, RetiredDmapAndAgemChunksAreSkipped) {
+  // Nothing writes the optional DMAP/AGEM chunks any more; files that carry
+  // them still load, because the reader skips unknown chunks whose CRC checks.
+  const fs::path dir = scratch_dir("tc_retired_chunks");
   const fs::path path = dir / "c.ftck";
-  TrainingCheckpoint ckpt = sample_checkpoint();
-  ckpt.defect_map.reset();
-  ckpt.aging.reset();
-  save_training_checkpoint(ckpt, path.string());
+  const TrainingCheckpoint original = sample_checkpoint();
+  write_file(path, image_with_retired_chunks(original, dir));
   const TrainingCheckpoint loaded = load_training_checkpoint(path.string());
-  EXPECT_FALSE(loaded.defect_map.has_value());
-  EXPECT_FALSE(loaded.aging.has_value());
+  expect_equal(original, loaded);
 }
 
 // --- reram state codecs ------------------------------------------------------
@@ -457,52 +453,6 @@ TEST(ReramCodec, DefectMapDecodeRejectsMalformedInput) {
   w3.u8(9);
   ByteReader r3(w3.bytes(), "DMAP");
   EXPECT_THROW((void)DefectMap::decode(r3), CheckpointError);
-}
-
-TEST(ReramCodec, AgingConfigRoundTripsAndAgingModelReplays) {
-  AgingConfig config;
-  config.p_new_per_interval = 2e-4;
-  config.interval_batches = 48;
-  config.sa0_fraction = 0.55;
-  config.seed = 31337;
-  ByteWriter w;
-  config.encode(w);
-  ByteReader r(w.bytes(), "AGEM");
-  const AgingConfig decoded = AgingConfig::decode(r);
-  r.expect_done();
-  EXPECT_EQ(decoded.p_new_per_interval, config.p_new_per_interval);
-  EXPECT_EQ(decoded.interval_batches, config.interval_batches);
-  EXPECT_EQ(decoded.sa0_fraction, config.sa0_fraction);
-  EXPECT_EQ(decoded.seed, config.seed);
-
-  // The config IS the model state: a rebuilt AgingModel replays the exact
-  // same degradation trajectory.
-  const AgingModel original_model(config);
-  const AgingModel decoded_model(decoded);
-  DefectMap a = DefectMap::empty(1024);
-  DefectMap b = DefectMap::empty(1024);
-  EXPECT_EQ(original_model.evolve(a, /*device_stream=*/5, 0, 40),
-            decoded_model.evolve(b, /*device_stream=*/5, 0, 40));
-  ASSERT_EQ(a.fault_count(), b.fault_count());
-  for (std::size_t i = 0; i < a.faults().size(); ++i) {
-    EXPECT_EQ(a.faults()[i].cell_index, b.faults()[i].cell_index);
-    EXPECT_EQ(a.faults()[i].type, b.faults()[i].type);
-  }
-}
-
-TEST(ReramCodec, AgingConfigDecodeRejectsInvalidValues) {
-  ByteWriter w;
-  w.f64(1.5);  // p_new_per_interval outside [0,1]
-  w.i64(64);
-  w.f64(0.5);
-  w.u64(1);
-  ByteReader r(w.bytes(), "AGEM");
-  try {
-    (void)AgingConfig::decode(r);
-    FAIL() << "expected CheckpointError";
-  } catch (const CheckpointError& e) {
-    EXPECT_EQ(e.kind(), CheckpointErrorKind::kFormat);
-  }
 }
 
 // --- crash injection sweep ---------------------------------------------------
@@ -658,6 +608,13 @@ TEST(CkptTool, AgreesWithCxxLoaderOnValidity) {
   EXPECT_EQ(run_ckpt_tool("verify " + good.string()), 0);
   EXPECT_EQ(run_ckpt_tool("dump " + good.string()), 0);
   EXPECT_EQ(run_ckpt_tool("diff " + good.string() + " " + good.string()), 0);
+
+  // A file with the retired DMAP/AGEM chunks: both sides accept it.
+  const fs::path retired = dir / "retired.ftck";
+  write_file(retired, image_with_retired_chunks(sample_checkpoint(), dir));
+  EXPECT_NO_THROW((void)load_training_checkpoint(retired.string()));
+  EXPECT_EQ(run_ckpt_tool("verify " + retired.string()), 0);
+  EXPECT_EQ(run_ckpt_tool("dump " + retired.string()), 0);
 
   // Corrupted files: both sides must reject, for a seeded set of mutations.
   const auto image = read_file(good);

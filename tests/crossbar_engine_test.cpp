@@ -2,13 +2,19 @@
 // weight-space injector, plus the seeded three-way differential test that
 // pushes one DefectMap through every fault datapath: the weight-space
 // injector, the float CrossbarEngine, and the int8 QuantizedCrossbarEngine.
+// The RNG injector's own per-cell stream, replayed as a DefectMap, pins its
+// read-back to apply_defect_map_to_model's.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <memory>
+#include <utility>
+#include <vector>
 
 #include "src/common/check.hpp"
+#include "src/models/mlp.hpp"
 #include "src/nn/linear.hpp"
 #include "src/reram/crossbar_engine.hpp"
 #include "src/reram/defect_map.hpp"
@@ -65,7 +71,7 @@ TEST(CrossbarEngine, StuckCellsPinTheReadoutAndMapsLayer) {
   Tensor w(Shape{2, 1});
   w[0] = 1.0f;
   w[1] = 0.0f;
-  CrossbarEngine engine(w, small_tiles(), /*w_max=*/1.0f);
+  CrossbarEngine engine(w, small_tiles());
 
   // Stuck-off on weight 0's positive cell (model cell 0): +1 -> 0.
   engine.apply_defect_map(DefectMap::from_faults(4, {CellFault{0, FaultType::kStuckOff}}));
@@ -114,7 +120,7 @@ TEST(CrossbarEngine, EquivalenceWithWeightSpaceInjectorInDistribution) {
 
   double engine_mad = 0.0;
   for (int r = 0; r < reps; ++r) {
-    CrossbarEngine engine(w, small_tiles(), w.abs_max());
+    CrossbarEngine engine(w, small_tiles());
     Rng rng(derive_seed(1234, static_cast<std::uint64_t>(r)));
     engine.apply_defect_map(DefectMap::sample(2 * out * in, model, rng));
     const Tensor w_eff = engine.read_back();
@@ -126,9 +132,9 @@ TEST(CrossbarEngine, EquivalenceWithWeightSpaceInjectorInDistribution) {
 
   double fast_mad = 0.0;
   for (int r = 0; r < reps; ++r) {
-    Tensor w_fast = w;
+    Tensor w_fast;
     Rng rng(derive_seed(5678, static_cast<std::uint64_t>(r)));
-    apply_stuck_at_faults(w_fast, model, {}, rng);
+    apply_stuck_at_faults(w, w_fast, model, {}, rng);
     for (std::int64_t i = 0; i < w.numel(); ++i) {
       fast_mad += std::fabs(w_fast[i] - w[i]);
     }
@@ -213,6 +219,58 @@ TEST(FaultDatapaths, ThreeWayDifferentialOnSeededMaps) {
             ASSERT_LE(std::fabs(quant_rb[i] - float_rb[i]), half_step + 1e-6f * w_max)
                 << "L=" << levels << " i=" << i;
           }
+        }
+      }
+    }
+  }
+}
+
+TEST(FaultDatapaths, RngInjectorStreamReplaysThroughDefectMap) {
+  // Apply_Fault draws two StuckAtFaultModel::sample values per weight,
+  // positive cell first, in crossbar_params order. Replaying that stream
+  // into a DefectMap must give apply_defect_map_to_model exactly the bits
+  // and stats of inject_into_model with the same seed, at every quant_levels
+  // and for a tensor whose w_max falls back to 1 (all zero).
+  for (const bool zero_tensor : {false, true}) {
+    for (const int levels : {0, 16, 256}) {
+      for (const double p_sa : {0.01, 0.2}) {
+        SCOPED_TRACE(::testing::Message() << "zero_tensor=" << zero_tensor << " L=" << levels
+                                          << " p_sa=" << p_sa);
+        auto net = make_mlp({12, 20, 6}, 41);
+        if (zero_tensor) crossbar_params(*net)[1]->value.zero();
+        const StuckAtFaultModel model(p_sa);
+        InjectorConfig ic;
+        ic.quant_levels = levels;
+        const std::uint64_t seed = derive_seed(0x5eed, static_cast<std::uint64_t>(levels));
+
+        const std::int64_t cells = crossbar_cell_count(*net);
+        Rng replay(seed);
+        std::vector<CellFault> faults;
+        for (std::int64_t c = 0; c < cells; ++c) {
+          const FaultType f = model.sample(replay);
+          if (f != FaultType::kNone) faults.push_back(CellFault{c, f});
+        }
+        const DefectMap map = DefectMap::from_faults(cells, std::move(faults));
+        ASSERT_GT(map.fault_count(), 0);
+
+        const std::unique_ptr<Module> by_rng = net->clone();
+        Rng rng(seed);
+        const InjectionStats rng_stats = inject_into_model(*by_rng, model, ic, rng);
+        const std::unique_ptr<Module> by_map = net->clone();
+        const InjectionStats map_stats = apply_defect_map_to_model(*by_map, map, ic);
+
+        EXPECT_EQ(rng_stats.cells, map_stats.cells);
+        EXPECT_EQ(rng_stats.faulted_cells, map_stats.faulted_cells);
+        EXPECT_EQ(rng_stats.affected_weights, map_stats.affected_weights);
+        EXPECT_EQ(map_stats.faulted_cells, map.fault_count());
+        const std::vector<Param*> a = crossbar_params(*by_rng);
+        const std::vector<Param*> b = crossbar_params(*by_map);
+        ASSERT_EQ(a.size(), b.size());
+        for (std::size_t k = 0; k < a.size(); ++k) {
+          EXPECT_EQ(std::memcmp(a[k]->value.data(), b[k]->value.data(),
+                                static_cast<std::size_t>(a[k]->value.numel()) * sizeof(float)),
+                    0)
+              << a[k]->name;
         }
       }
     }

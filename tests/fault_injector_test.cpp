@@ -16,7 +16,7 @@ TEST(ApplyFault, ZeroRateIsIdentity) {
   Tensor w = random_tensor(Shape{100}, 1);
   const Tensor original = w;
   Rng rng(2);
-  const InjectionStats stats = apply_stuck_at_faults(w, StuckAtFaultModel(0.0), {}, rng);
+  const InjectionStats stats = apply_stuck_at_faults(w, w, StuckAtFaultModel(0.0), {}, rng);
   EXPECT_TRUE(w.allclose(original, 0.0f, 0.0f));
   EXPECT_EQ(stats.faulted_cells, 0);
   EXPECT_EQ(stats.affected_weights, 0);
@@ -26,7 +26,7 @@ TEST(ApplyFault, ZeroRateIsIdentity) {
 TEST(ApplyFault, StatsTrackCellRate) {
   Tensor w = random_tensor(Shape{50000}, 3);
   Rng rng(4);
-  const InjectionStats stats = apply_stuck_at_faults(w, StuckAtFaultModel(0.02), {}, rng);
+  const InjectionStats stats = apply_stuck_at_faults(w, w, StuckAtFaultModel(0.02), {}, rng);
   EXPECT_NEAR(stats.cell_fault_rate(), 0.02, 0.003);
   EXPECT_GT(stats.affected_weights, 0);
   EXPECT_LE(stats.affected_weights, stats.faulted_cells);
@@ -36,7 +36,7 @@ TEST(ApplyFault, FaultedWeightsStayWithinFullScale) {
   Tensor w = random_tensor(Shape{10000}, 5);
   const float wmax = w.abs_max();
   Rng rng(6);
-  apply_stuck_at_faults(w, StuckAtFaultModel(0.5), {}, rng);
+  apply_stuck_at_faults(w, w, StuckAtFaultModel(0.5), {}, rng);
   for (std::int64_t i = 0; i < w.numel(); ++i) {
     EXPECT_LE(std::fabs(w[i]), wmax * (1.0f + 1e-5f));
   }
@@ -46,14 +46,14 @@ TEST(ApplyFault, AllStuckOnSaturatesZeroWeights) {
   // All cells stuck on: G+ = G- = Gmax -> effective weight 0 for every value.
   Tensor w = random_tensor(Shape{64}, 7);
   Rng rng(8);
-  apply_stuck_at_faults(w, StuckAtFaultModel(1.0, /*sa0_fraction=*/0.0), {}, rng);
+  apply_stuck_at_faults(w, w, StuckAtFaultModel(1.0, /*sa0_fraction=*/0.0), {}, rng);
   for (std::int64_t i = 0; i < w.numel(); ++i) EXPECT_NEAR(w[i], 0.0f, 1e-5f);
 }
 
 TEST(ApplyFault, AllStuckOffZeroesEverything) {
   Tensor w = random_tensor(Shape{64}, 9);
   Rng rng(10);
-  apply_stuck_at_faults(w, StuckAtFaultModel(1.0, /*sa0_fraction=*/1.0), {}, rng);
+  apply_stuck_at_faults(w, w, StuckAtFaultModel(1.0, /*sa0_fraction=*/1.0), {}, rng);
   for (std::int64_t i = 0; i < w.numel(); ++i) EXPECT_NEAR(w[i], 0.0f, 1e-5f);
 }
 
@@ -66,7 +66,7 @@ TEST(ApplyFault, SingleStuckOnCellGivesFullScale) {
   w[0] = 1.0f;  // sets w_max
   Rng rng(11);
   Tensor mask;
-  apply_stuck_at_faults(w, StuckAtFaultModel(0.5, 0.0), {}, rng, &mask);
+  apply_stuck_at_faults(w, w, StuckAtFaultModel(0.5, 0.0), {}, rng, &mask);
   int fullscale = 0;
   for (std::int64_t i = 1; i < w.numel(); ++i) {
     if (mask[i] == 0.0f) continue;
@@ -85,7 +85,7 @@ TEST(ApplyFault, HitMaskMarksExactlyChangedWeights) {
   const Tensor original = w;
   Rng rng(13);
   Tensor mask;
-  apply_stuck_at_faults(w, StuckAtFaultModel(0.05), {}, rng, &mask);
+  apply_stuck_at_faults(w, w, StuckAtFaultModel(0.05), {}, rng, &mask);
   for (std::int64_t i = 0; i < w.numel(); ++i) {
     if (w[i] != original[i]) {
       EXPECT_EQ(mask[i], 1.0f) << i;
@@ -101,8 +101,8 @@ TEST(ApplyFault, DeterministicForSeed) {
   Tensor w1 = random_tensor(Shape{2000}, 14);
   Tensor w2 = w1;
   Rng rng1(15), rng2(15);
-  apply_stuck_at_faults(w1, StuckAtFaultModel(0.03), {}, rng1);
-  apply_stuck_at_faults(w2, StuckAtFaultModel(0.03), {}, rng2);
+  apply_stuck_at_faults(w1, w1, StuckAtFaultModel(0.03), {}, rng1);
+  apply_stuck_at_faults(w2, w2, StuckAtFaultModel(0.03), {}, rng2);
   EXPECT_TRUE(w1.allclose(w2, 0.0f, 0.0f));
 }
 
@@ -111,7 +111,7 @@ TEST(ApplyFault, QuantizationPathRoundsCleanWeights) {
   config.quant_levels = 4;
   Tensor w = random_tensor(Shape{256}, 16);
   Rng rng(17);
-  apply_stuck_at_faults(w, StuckAtFaultModel(0.0), config, rng);
+  apply_stuck_at_faults(w, w, StuckAtFaultModel(0.0), config, rng);
   // With 4 levels the weight values must come from a small discrete set.
   std::set<int> buckets;
   const float wmax = 1e-4f + w.abs_max();
@@ -124,7 +124,7 @@ TEST(ApplyFault, QuantizationPathRoundsCleanWeights) {
 TEST(ApplyFault, ZeroTensorIsSafe) {
   Tensor w(Shape{128});
   Rng rng(18);
-  EXPECT_NO_THROW(apply_stuck_at_faults(w, StuckAtFaultModel(0.1), {}, rng));
+  EXPECT_NO_THROW(apply_stuck_at_faults(w, w, StuckAtFaultModel(0.1), {}, rng));
   for (std::int64_t i = 0; i < w.numel(); ++i) EXPECT_TRUE(std::isfinite(w[i]));
 }
 
@@ -146,17 +146,16 @@ TEST(InjectIntoModel, OnlyTouchesCrossbarWeights) {
   }
 }
 
-TEST(WeightFaultGuard, RestoresCleanWeights) {
+TEST(FaultInjectionSession, RestoresCleanWeights) {
   auto net = make_mlp({6, 12, 3}, 21);
   const StateDict before = state_dict_of(*net);
   {
+    FaultInjectionSession session(*net);
     Rng rng(22);
-    WeightFaultGuard guard(*net, StuckAtFaultModel(0.2), {}, rng);
-    EXPECT_GT(guard.stats().faulted_cells, 0);
+    EXPECT_GT(session.inject(StuckAtFaultModel(0.2), {}, rng).faulted_cells, 0);
     // Weights are perturbed inside the scope.
     bool changed = false;
-    for (const Param* p : parameters_of(*net)) {
-      if (p->kind != ParamKind::kCrossbarWeight) continue;
+    for (const Param* p : crossbar_params(*net)) {
       if (!p->value.allclose(before.at(p->name), 0.0f, 0.0f)) changed = true;
     }
     EXPECT_TRUE(changed);
@@ -166,27 +165,30 @@ TEST(WeightFaultGuard, RestoresCleanWeights) {
   }
 }
 
-TEST(WeightFaultGuard, RestoreIsIdempotent) {
+TEST(FaultInjectionSession, RestoreIsIdempotent) {
   auto net = make_mlp({4, 4}, 23);
   const StateDict before = state_dict_of(*net);
+  FaultInjectionSession session(*net);
   Rng rng(24);
-  WeightFaultGuard guard(*net, StuckAtFaultModel(0.5), {}, rng);
-  guard.restore();
-  guard.restore();
+  session.inject(StuckAtFaultModel(0.5), {}, rng);
+  session.restore();
+  session.restore();
+  EXPECT_FALSE(session.injected());
   for (const Param* p : parameters_of(*net)) {
     EXPECT_TRUE(p->value.allclose(before.at(p->name), 0.0f, 0.0f));
   }
 }
 
-TEST(WeightFaultGuard, RestoresWhenEvaluationThrows) {
-  // The guard is the exception-safety story of every evaluate-under-faults
+TEST(FaultInjectionSession, RestoresWhenEvaluationThrows) {
+  // The session is the exception-safety story of every evaluate-under-faults
   // scope: clean weights must come back even when the evaluation throws.
   auto net = make_mlp({6, 12, 3}, 29);
   const StateDict before = state_dict_of(*net);
   EXPECT_THROW(
       {
+        FaultInjectionSession session(*net);
         Rng rng(30);
-        WeightFaultGuard guard(*net, StuckAtFaultModel(0.3), {}, rng);
+        session.inject(StuckAtFaultModel(0.3), {}, rng);
         throw std::runtime_error("evaluation blew up");
       },
       std::runtime_error);
@@ -203,13 +205,14 @@ TEST(ApplyFaultToCopy, SourceUntouchedAndMatchesInPlace) {
   Tensor mask;
   Rng rng_copy(32);
   const InjectionStats s1 =
-      apply_faults_to_copy(src, dst, StuckAtFaultModel(0.05), {}, rng_copy, &mask);
+      apply_stuck_at_faults(src, dst, StuckAtFaultModel(0.05), {}, rng_copy, &mask);
   EXPECT_TRUE(src.allclose(original, 0.0f, 0.0f));
 
   // Same RNG seed through the in-place path must give the same read-back.
   Tensor inplace = src;
   Rng rng_inplace(32);
-  const InjectionStats s2 = apply_stuck_at_faults(inplace, StuckAtFaultModel(0.05), {}, rng_inplace);
+  const InjectionStats s2 =
+      apply_stuck_at_faults(inplace, inplace, StuckAtFaultModel(0.05), {}, rng_inplace);
   EXPECT_TRUE(dst.allclose(inplace, 0.0f, 0.0f));
   EXPECT_EQ(s1.faulted_cells, s2.faulted_cells);
   EXPECT_EQ(s1.affected_weights, s2.affected_weights);
@@ -218,7 +221,7 @@ TEST(ApplyFaultToCopy, SourceUntouchedAndMatchesInPlace) {
   // allocation.
   const float* dst_storage = dst.data();
   Rng rng_again(33);
-  apply_faults_to_copy(src, dst, StuckAtFaultModel(0.05), {}, rng_again, &mask);
+  apply_stuck_at_faults(src, dst, StuckAtFaultModel(0.05), {}, rng_again, &mask);
   EXPECT_EQ(dst.data(), dst_storage);
 }
 
@@ -284,14 +287,15 @@ TEST(FaultInjectionSession, DestructorRestores) {
   }
 }
 
-TEST(WeightFaultGuard, HitMasksAlignWithParams) {
+TEST(FaultInjectionSession, HitMasksAlignWithParams) {
   auto net = make_mlp({10, 10, 10}, 25);
+  FaultInjectionSession session(*net);
   Rng rng(26);
-  WeightFaultGuard guard(*net, StuckAtFaultModel(0.1), {}, rng);
-  ASSERT_EQ(guard.faulted_params().size(), guard.hit_masks().size());
-  for (std::size_t k = 0; k < guard.faulted_params().size(); ++k) {
-    EXPECT_EQ(guard.faulted_params()[k]->value.shape(), guard.hit_masks()[k].shape());
-    EXPECT_EQ(guard.faulted_params()[k]->kind, ParamKind::kCrossbarWeight);
+  session.inject(StuckAtFaultModel(0.1), {}, rng);
+  ASSERT_EQ(session.faulted_params().size(), session.hit_masks().size());
+  for (std::size_t k = 0; k < session.faulted_params().size(); ++k) {
+    EXPECT_EQ(session.faulted_params()[k]->value.shape(), session.hit_masks()[k].shape());
+    EXPECT_EQ(session.faulted_params()[k]->kind, ParamKind::kCrossbarWeight);
   }
 }
 
@@ -301,7 +305,7 @@ TEST_P(InjectionRateTest, ObservedRateTracksTarget) {
   const double p = GetParam();
   Tensor w = random_tensor(Shape{100000}, 27);
   Rng rng(28);
-  const InjectionStats stats = apply_stuck_at_faults(w, StuckAtFaultModel(p), {}, rng);
+  const InjectionStats stats = apply_stuck_at_faults(w, w, StuckAtFaultModel(p), {}, rng);
   EXPECT_NEAR(stats.cell_fault_rate(), p, std::max(0.002, p * 0.15));
 }
 

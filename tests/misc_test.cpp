@@ -47,15 +47,16 @@ TEST(Tensor, FourDimAccessorMatchesFlatLayout) {
   EXPECT_FLOAT_EQ(ct.at(1, 2, 3, 4), 7.5f);
 }
 
-TEST(WeightFaultGuard, CellCountIsTwicePerWeight) {
+TEST(FaultInjectionSession, CellCountIsTwicePerWeight) {
   auto net = make_mlp({5, 7, 2}, 1);
   std::int64_t crossbar_weights = 0;
   for (const Param* p : parameters_of(*net)) {
     if (p->kind == ParamKind::kCrossbarWeight) crossbar_weights += p->value.numel();
   }
+  FaultInjectionSession session(*net);
   Rng rng(2);
-  WeightFaultGuard guard(*net, StuckAtFaultModel(0.1), {}, rng);
-  EXPECT_EQ(guard.stats().cells, 2 * crossbar_weights);
+  session.inject(StuckAtFaultModel(0.1), {}, rng);
+  EXPECT_EQ(session.stats().cells, 2 * crossbar_weights);
 }
 
 TEST(Experiment, UsesRealCifarWhenDirectoryProvided) {

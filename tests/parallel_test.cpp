@@ -217,50 +217,62 @@ TEST(EnvHelpers, ParseAndFallback) {
   EXPECT_EQ(env_string("FTPIM_SURELY_UNSET_VAR", "x"), "x");
   setenv("FTPIM_TEST_ENV_INT", "42", 1);
   EXPECT_EQ(env_int("FTPIM_TEST_ENV_INT", 0), 42);
+  setenv("FTPIM_TEST_ENV_INT", "-7", 1);  // the default range is all of int
+  EXPECT_EQ(env_int("FTPIM_TEST_ENV_INT", 0), -7);
+  // Garbage is a typo, not "unset": it throws instead of running the fallback.
   setenv("FTPIM_TEST_ENV_INT", "garbage", 1);
-  EXPECT_EQ(env_int("FTPIM_TEST_ENV_INT", 9), 9);
+  EXPECT_THROW((void)env_int("FTPIM_TEST_ENV_INT", 9), ContractViolation);
+  setenv("FTPIM_TEST_ENV_INT", "99999999999", 1);  // does not fit in int
+  EXPECT_THROW((void)env_int("FTPIM_TEST_ENV_INT", 9), ContractViolation);
   unsetenv("FTPIM_TEST_ENV_INT");
+  setenv("FTPIM_TEST_ENV_DOUBLE", "0.02", 1);
+  EXPECT_DOUBLE_EQ(env_double("FTPIM_TEST_ENV_DOUBLE", 0.5), 0.02);
+  for (const char* bad : {"0.02x", "abc", "inf", "nan"}) {
+    setenv("FTPIM_TEST_ENV_DOUBLE", bad, 1);
+    EXPECT_THROW((void)env_double("FTPIM_TEST_ENV_DOUBLE", 0.5), ContractViolation) << bad;
+  }
+  unsetenv("FTPIM_TEST_ENV_DOUBLE");
 }
 
 TEST(EnvHelpers, StrictDoubleRejectsJunkAndOutOfRange) {
-  // env_double_in is the hardened variant: a typo'd knob (FTPIM_ADC_RANGE
-  // and friends) must fail loudly instead of silently running the fallback.
+  // A ranged read: a typo'd knob (FTPIM_ADC_RANGE and friends) must fail
+  // loudly instead of silently running the fallback.
   unsetenv("FTPIM_TEST_ENV_RANGE");
-  EXPECT_DOUBLE_EQ(env_double_in("FTPIM_TEST_ENV_RANGE", 0.25, 0.0, 1.0), 0.25);
+  EXPECT_DOUBLE_EQ(env_double("FTPIM_TEST_ENV_RANGE", 0.25, 0.0, 1.0), 0.25);
   setenv("FTPIM_TEST_ENV_RANGE", "", 1);
-  EXPECT_DOUBLE_EQ(env_double_in("FTPIM_TEST_ENV_RANGE", 0.25, 0.0, 1.0), 0.25);
+  EXPECT_DOUBLE_EQ(env_double("FTPIM_TEST_ENV_RANGE", 0.25, 0.0, 1.0), 0.25);
   setenv("FTPIM_TEST_ENV_RANGE", "0.5", 1);
-  EXPECT_DOUBLE_EQ(env_double_in("FTPIM_TEST_ENV_RANGE", 0.25, 0.0, 1.0), 0.5);
+  EXPECT_DOUBLE_EQ(env_double("FTPIM_TEST_ENV_RANGE", 0.25, 0.0, 1.0), 0.5);
   setenv("FTPIM_TEST_ENV_RANGE", "1.0", 1);  // hi bound is inclusive
-  EXPECT_DOUBLE_EQ(env_double_in("FTPIM_TEST_ENV_RANGE", 0.25, 0.0, 1.0), 1.0);
+  EXPECT_DOUBLE_EQ(env_double("FTPIM_TEST_ENV_RANGE", 0.25, 0.0, 1.0), 1.0);
   // Trailing junk, non-numbers, NaN, and out-of-range values all throw a
   // ContractViolation naming the variable.
   for (const char* bad : {"0.5x", "garbage", "nan", "0", "-0.25", "1.5"}) {
     setenv("FTPIM_TEST_ENV_RANGE", bad, 1);
-    EXPECT_THROW((void)env_double_in("FTPIM_TEST_ENV_RANGE", 0.25, 0.0, 1.0), ContractViolation)
+    EXPECT_THROW((void)env_double("FTPIM_TEST_ENV_RANGE", 0.25, 0.0, 1.0), ContractViolation)
         << bad;
   }
   unsetenv("FTPIM_TEST_ENV_RANGE");
 }
 
 TEST(EnvHelpers, StrictIntRejectsJunkAndOutOfRange) {
-  // env_int_in backs FTPIM_THREADS (src/common/parallel.cpp): a mistyped
+  // A ranged env_int backs FTPIM_THREADS (src/common/parallel.cpp): a mistyped
   // worker count must throw, not silently pick hardware_concurrency. The
   // helper is exercised directly because num_threads() caches its first
   // resolution behind a magic static.
   unsetenv("FTPIM_TEST_ENV_THREADS");
-  EXPECT_EQ(env_int_in("FTPIM_TEST_ENV_THREADS", 4, 1, 4096), 4);
+  EXPECT_EQ(env_int("FTPIM_TEST_ENV_THREADS", 4, 1, 4096), 4);
   setenv("FTPIM_TEST_ENV_THREADS", "", 1);
-  EXPECT_EQ(env_int_in("FTPIM_TEST_ENV_THREADS", 4, 1, 4096), 4);
+  EXPECT_EQ(env_int("FTPIM_TEST_ENV_THREADS", 4, 1, 4096), 4);
   setenv("FTPIM_TEST_ENV_THREADS", "8", 1);
-  EXPECT_EQ(env_int_in("FTPIM_TEST_ENV_THREADS", 4, 1, 4096), 8);
+  EXPECT_EQ(env_int("FTPIM_TEST_ENV_THREADS", 4, 1, 4096), 8);
   setenv("FTPIM_TEST_ENV_THREADS", "1", 1);  // both bounds inclusive
-  EXPECT_EQ(env_int_in("FTPIM_TEST_ENV_THREADS", 4, 1, 4096), 1);
+  EXPECT_EQ(env_int("FTPIM_TEST_ENV_THREADS", 4, 1, 4096), 1);
   setenv("FTPIM_TEST_ENV_THREADS", "4096", 1);
-  EXPECT_EQ(env_int_in("FTPIM_TEST_ENV_THREADS", 4, 1, 4096), 4096);
+  EXPECT_EQ(env_int("FTPIM_TEST_ENV_THREADS", 4, 1, 4096), 4096);
   for (const char* bad : {"8x", "4.5", "garbage", "0", "-2", "4097", "80000"}) {
     setenv("FTPIM_TEST_ENV_THREADS", bad, 1);
-    EXPECT_THROW((void)env_int_in("FTPIM_TEST_ENV_THREADS", 4, 1, 4096), ContractViolation)
+    EXPECT_THROW((void)env_int("FTPIM_TEST_ENV_THREADS", 4, 1, 4096), ContractViolation)
         << bad;
   }
   unsetenv("FTPIM_TEST_ENV_THREADS");
@@ -280,6 +292,40 @@ TEST(RunScale, QuickDefaultsAndOverrides) {
   setenv("FTPIM_EPOCHS", "5", 1);
   EXPECT_EQ(run_scale().epochs, 5);
   unsetenv("FTPIM_SCALE");
+  unsetenv("FTPIM_EPOCHS");
+}
+
+TEST(RunScale, UnknownPresetThrowsNamingTheVariable) {
+  unsetenv("FTPIM_EPOCHS");
+  for (const char* bad : {"ful", "Quick", "large"}) {
+    setenv("FTPIM_SCALE", bad, 1);
+    try {
+      (void)run_scale();
+      ADD_FAILURE() << "FTPIM_SCALE=" << bad << " did not throw";
+    } catch (const ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find("FTPIM_SCALE"), std::string::npos) << e.what();
+    }
+  }
+  unsetenv("FTPIM_SCALE");
+}
+
+TEST(RunScale, MalformedOrNonPositiveFieldThrowsNamingTheVariable) {
+  unsetenv("FTPIM_SCALE");
+  // "1O" (letter O) has a valid prefix and "abc" none; -1 and 0 count nothing.
+  for (const char* bad : {"1O", "abc", "-1", "0", "99999999999"}) {
+    setenv("FTPIM_RUNS", bad, 1);
+    try {
+      (void)run_scale();
+      ADD_FAILURE() << "FTPIM_RUNS=" << bad << " did not throw";
+    } catch (const ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find("FTPIM_RUNS"), std::string::npos) << e.what();
+    }
+  }
+  unsetenv("FTPIM_RUNS");
+  setenv("FTPIM_EPOCHS", "-1", 1);
+  EXPECT_THROW((void)run_scale(), ContractViolation);
+  setenv("FTPIM_EPOCHS", "1", 1);  // the smallest valid value reads as before
+  EXPECT_EQ(run_scale().epochs, 1);
   unsetenv("FTPIM_EPOCHS");
 }
 

@@ -69,7 +69,7 @@ TEST(MagnitudePrune, GlobalUsesOneThreshold) {
   // Make layer 0 weights tiny and layer 1 large: global pruning should prune
   // (almost) all of layer 0 before touching layer 1.
   auto net = make_mlp({10, 10, 10}, 4);
-  auto params = prunable_params(*net);
+  auto params = crossbar_params(*net);
   ASSERT_EQ(params.size(), 2u);
   for (std::int64_t i = 0; i < params[0]->value.numel(); ++i) params[0]->value[i] *= 0.001f;
   for (std::int64_t i = 0; i < params[1]->value.numel(); ++i) params[1]->value[i] += 10.0f;
@@ -80,7 +80,7 @@ TEST(MagnitudePrune, GlobalUsesOneThreshold) {
 
 TEST(MagnitudePrune, PrunesSmallestMagnitudes) {
   auto net = make_mlp({8, 8}, 5);
-  auto params = prunable_params(*net);
+  auto params = crossbar_params(*net);
   const Tensor before = params[0]->value;
   magnitude_prune(*net, MagnitudePruneConfig{.sparsity = 0.25});
   float max_pruned = 0.0f, min_kept = 1e9f;
@@ -114,7 +114,7 @@ TEST(Admm, RegularizerPullsWeightsTowardProjection) {
   // gradient should shrink the primal residual ||W - Z||.
   auto net = make_mlp({16, 16}, 8);
   AdmmPruner pruner(*net, AdmmConfig{.sparsity = 0.5, .rho = 0.5f});
-  auto params = prunable_params(*net);
+  auto params = crossbar_params(*net);
   const double initial = pruner.primal_residual();
   for (int iter = 0; iter < 60; ++iter) {
     for (Param* p : params) p->grad.zero();
@@ -144,7 +144,7 @@ TEST(Admm, RegularizeIsNoOpAfterFinalize) {
   auto net = make_mlp({8, 8}, 10);
   AdmmPruner pruner(*net, AdmmConfig{.sparsity = 0.5, .rho = 1.0f});
   pruner.finalize();
-  auto params = prunable_params(*net);
+  auto params = crossbar_params(*net);
   for (Param* p : params) p->grad.zero();
   pruner.regularize_grads();
   for (const Param* p : params) {

@@ -380,7 +380,7 @@ TEST(QuantEngine, LevelDomainFaultSemantics) {
   w[0] = 1.0f;
   w[1] = 0.0f;
   QuantizedEngineConfig config = small_config(/*levels=*/16);
-  QuantizedCrossbarEngine engine(w, config, /*w_max=*/1.0f);
+  QuantizedCrossbarEngine engine(w, config);
 
   // Stuck-off on weight 0's positive cell (model cell 0): +1 -> 0.
   engine.apply_defect_map(
@@ -422,7 +422,7 @@ TEST(QuantEngine, FaultsFlowThroughMvm) {
   w[2] = 0.75f;
   w[3] = 0.0f;
   QuantizedEngineConfig config = small_config(/*levels=*/256);
-  QuantizedCrossbarEngine engine(w, config, /*w_max=*/1.0f);
+  QuantizedCrossbarEngine engine(w, config);
   engine.apply_defect_map(
       DefectMap::from_faults(8, {CellFault{0, FaultType::kStuckOn}}));
   const Tensor faulted = engine.read_back();
@@ -507,8 +507,8 @@ TEST(QuantEngine, AdcClippingCoarsensOutputs) {
   QuantizedEngineConfig ideal = small_config(/*levels=*/16, /*adc_bits=*/0);
   QuantizedEngineConfig coarse = small_config(/*levels=*/16, /*adc_bits=*/3);
   coarse.adc.range_factor = 0.125;
-  const QuantizedCrossbarEngine ie(w, ideal, 1.0f);
-  const QuantizedCrossbarEngine ce(w, coarse, 1.0f);
+  const QuantizedCrossbarEngine ie(w, ideal);
+  const QuantizedCrossbarEngine ce(w, coarse);
   std::vector<float> yi(4), yc(4);
   ie.mvm_batch(x.data(), 1, yi.data());
   ce.mvm_batch(x.data(), 1, yc.data());

@@ -234,26 +234,6 @@ def decode_rng_streams(payload):
     return streams
 
 
-def decode_defect_map(payload):
-    p = Payload(payload, "DMAP")
-    cell_count = p.i64()
-    faults = [(p.i64(), p.u8()) for _ in range(p.u64())]
-    p.expect_done()
-    return cell_count, faults
-
-
-def decode_aging(payload):
-    p = Payload(payload, "AGEM")
-    cfg = {
-        "p_new_per_interval": p.f64(),
-        "interval_batches": p.i64(),
-        "sa0_fraction": p.f64(),
-        "seed": p.u64(),
-    }
-    p.expect_done()
-    return cfg
-
-
 # ---------------------------------------------------------------------------
 # Commands.
 
@@ -261,7 +241,9 @@ def decode_aging(payload):
 def cmd_verify(path):
     version, chunks = parse_container(path)
     # Validate the known payload layouts too, so verify agrees with the C++
-    # load_training_checkpoint, not just with the framing layer.
+    # load_training_checkpoint, not just with the framing layer. Like the C++
+    # reader, unknown chunks (e.g. the retired DMAP/AGEM) only need a sound
+    # CRC.
     if "CURS" in chunks:
         decode_cursor(chunks["CURS"])
     for tag in ("MODL", "OPTM"):
@@ -269,10 +251,6 @@ def cmd_verify(path):
             decode_state_dict(chunks[tag], tag)
     if "RNGS" in chunks:
         decode_rng_streams(chunks["RNGS"])
-    if "DMAP" in chunks:
-        decode_defect_map(chunks["DMAP"])
-    if "AGEM" in chunks:
-        decode_aging(chunks["AGEM"])
     total = sum(len(p) for p in chunks.values())
     print(f"OK: {path} version {version}, {len(chunks)} chunk(s),"
           f" {total} payload byte(s)")
@@ -314,16 +292,6 @@ def cmd_dump(path):
             state = " ".join(f"{w:016x}" for w in words)
             extra = f" cached={cached}" if has_cached else ""
             print(f"  {name}: {state}{extra}")
-    if "DMAP" in chunks:
-        cell_count, faults = decode_defect_map(chunks["DMAP"])
-        sa0 = sum(1 for _, t in faults if t == 1)
-        print(f"defect map: {len(faults)} stuck cell(s) of {cell_count}"
-              f" ({sa0} SA0, {len(faults) - sa0} SA1)")
-    if "AGEM" in chunks:
-        cfg = decode_aging(chunks["AGEM"])
-        print(f"aging: p_new={cfg['p_new_per_interval']} interval="
-              f"{cfg['interval_batches']} sa0_fraction={cfg['sa0_fraction']}"
-              f" seed={cfg['seed']}")
     return 0
 
 
