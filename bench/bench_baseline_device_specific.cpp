@@ -23,7 +23,7 @@ int main() {
   print_preamble("Baseline B1 (device-specific retraining vs stochastic FT)", exp);
 
   const double p_sa = env_double("FTPIM_PSA", 0.01);
-  const int fleet = env_int("FTPIM_DEVICES", 8);
+  const int fleet = env_int("FTPIM_DEVICES", 8, 1);
   const std::uint64_t defect_seed = 4040;
 
   auto pretrained = exp.fresh_model();

@@ -59,8 +59,8 @@ struct PolicyResult {
 
 int main() {
   const RunScale scale = run_scale();
-  const int devices = env_int("FTPIM_FLEET_DEVICES", scale.name == "quick" ? 256 : 1000);
-  const auto ticks = static_cast<std::int64_t>(env_int("FTPIM_FLEET_TICKS", 16));
+  const int devices = env_int("FTPIM_FLEET_DEVICES", scale.name == "quick" ? 256 : 1000, 1);
+  const auto ticks = static_cast<std::int64_t>(env_int("FTPIM_FLEET_TICKS", 16, 1));
 
   std::printf("=== fleet lifecycle sweep: %d devices x %lld ticks per policy ===\n", devices,
               static_cast<long long>(ticks));

@@ -101,7 +101,7 @@ PolicyResult run_policy(const Module& model, const Dataset& data, Policy policy,
 
 int main() {
   const RunScale scale = run_scale();
-  const int total_requests = env_int("FTPIM_REQS", scale.name == "quick" ? 512 : 2048);
+  const int total_requests = env_int("FTPIM_REQS", scale.name == "quick" ? 512 : 2048, 1);
 
   std::printf("=== serve degradation: aging vs self-healing fleet ===\n");
   std::printf("model: SmallCNN | img: %dx%d | requests: %d | replicas: 2 | scale: %s | "

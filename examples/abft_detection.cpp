@@ -88,28 +88,28 @@ void act1_single_engine() {
 
 void act2_fleet() {
   using namespace ftpim::serve;
-  const int total_requests = env_int("FTPIM_REQS", 384);
+  const int total_requests = env_int("FTPIM_REQS", 384, 1);
 
   SynthVisionConfig data_cfg;
   data_cfg.num_classes = 10;
   data_cfg.image_size = 16;
-  data_cfg.samples = env_int("FTPIM_TRAIN", 1024);
+  data_cfg.samples = env_int("FTPIM_TRAIN", 1024, 1);
   const auto train = make_synthvision(data_cfg, 1);
-  data_cfg.samples = env_int("FTPIM_TEST", 256);
+  data_cfg.samples = env_int("FTPIM_TEST", 256, 1);
   const auto test = make_synthvision(data_cfg, 2);
 
   SmallCnnConfig model_cfg;
   model_cfg.image_size = 16;
   auto model = make_small_cnn(model_cfg);
   TrainConfig tc;
-  tc.epochs = env_int("FTPIM_EPOCHS", 3);
+  tc.epochs = env_int("FTPIM_EPOCHS", 3, 1);
   Trainer(*model, *train, tc).run();
 
   ServerConfig cfg;
   cfg.queue_capacity = 512;
   cfg.batching.max_batch_size = 8;
   cfg.batching.max_linger_ns = 500'000;
-  cfg.pool.num_replicas = env_int("FTPIM_REPLICAS", 2);
+  cfg.pool.num_replicas = env_int("FTPIM_REPLICAS", 2, 1);
   cfg.pool.p_sa = 0.01;  // manufacturing defects: baselined away, never ring
   cfg.pool.seed = 7;
   cfg.pool.engine = ReplicaEngine::kQuantized;

@@ -39,8 +39,8 @@ std::vector<float> matvec(const Tensor& w, const std::vector<float>& x) {
 
 int main() {
   using namespace ftpim;
-  const std::int64_t out = env_int("FTPIM_OUT", 96);
-  const std::int64_t in = env_int("FTPIM_IN", 200);
+  const std::int64_t out = env_int("FTPIM_OUT", 96, 1);
+  const std::int64_t in = env_int("FTPIM_IN", 200, 1);
 
   // A random "layer" to deploy.
   Tensor w(Shape{out, in});

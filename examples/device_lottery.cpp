@@ -20,20 +20,20 @@
 int main() {
   using namespace ftpim;
   const double p_sa = env_double("FTPIM_PSA", 0.02);
-  const int devices = env_int("FTPIM_DEVICES", 6);
+  const int devices = env_int("FTPIM_DEVICES", 6, 1);
   const std::uint64_t defect_seed = 777;
 
   SynthVisionConfig data_cfg;
   data_cfg.num_classes = 10;
   data_cfg.image_size = 16;
-  data_cfg.samples = env_int("FTPIM_TRAIN", 896);
+  data_cfg.samples = env_int("FTPIM_TRAIN", 896, 1);
   const auto train = make_synthvision(data_cfg, 1);
-  data_cfg.samples = env_int("FTPIM_TEST", 384);
+  data_cfg.samples = env_int("FTPIM_TEST", 384, 1);
   const auto test = make_synthvision(data_cfg, 2);
 
   auto model = make_resnet20(10, /*base_width=*/8, /*seed=*/5);
   TrainConfig tc;
-  tc.epochs = env_int("FTPIM_EPOCHS", 3);
+  tc.epochs = env_int("FTPIM_EPOCHS", 3, 1);
   Trainer(*model, *train, tc).run();
   std::printf("factory model: %.2f%% clean accuracy\n\n",
               evaluate_accuracy(*model, *test) * 100.0);

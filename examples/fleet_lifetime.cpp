@@ -71,8 +71,8 @@ std::vector<std::uint8_t> timeline_bytes(const FleetSimulator& sim) {
 }  // namespace
 
 int main() {
-  const int devices = env_int("FTPIM_FLEET_DEVICES", 1000);
-  const auto ticks = static_cast<std::int64_t>(env_int("FTPIM_FLEET_TICKS", 24));
+  const int devices = env_int("FTPIM_FLEET_DEVICES", 1000, 1);
+  const auto ticks = static_cast<std::int64_t>(env_int("FTPIM_FLEET_TICKS", 24, 1));
   const auto model = make_mlp({16, 24, 4}, 7);
 
   std::printf("=== fleet lifetime study: %d devices, %lld ticks, 4 repair policies ===\n",

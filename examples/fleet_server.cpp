@@ -32,24 +32,24 @@ int main() {
   using namespace ftpim;
   using namespace ftpim::serve;
 
-  const int replicas = env_int("FTPIM_REPLICAS", 4);
-  const int clients = env_int("FTPIM_CLIENTS", 4);
-  const int requests_per_client = env_int("FTPIM_REQS", 256);
+  const int replicas = env_int("FTPIM_REPLICAS", 4, 1);
+  const int clients = env_int("FTPIM_CLIENTS", 4, 1);
+  const int requests_per_client = env_int("FTPIM_REQS", 256, 1);
   const double p_sa = env_double("FTPIM_PSA", 0.01);
 
   SynthVisionConfig data_cfg;
   data_cfg.num_classes = 10;
   data_cfg.image_size = 16;
-  data_cfg.samples = env_int("FTPIM_TRAIN", 1024);
+  data_cfg.samples = env_int("FTPIM_TRAIN", 1024, 1);
   const auto train = make_synthvision(data_cfg, 1);
-  data_cfg.samples = env_int("FTPIM_TEST", 512);
+  data_cfg.samples = env_int("FTPIM_TEST", 512, 1);
   const auto test = make_synthvision(data_cfg, 2);
 
   SmallCnnConfig model_cfg;
   model_cfg.image_size = 16;
   auto model = make_small_cnn(model_cfg);
   TrainConfig tc;
-  tc.epochs = env_int("FTPIM_EPOCHS", 4);
+  tc.epochs = env_int("FTPIM_EPOCHS", 4, 1);
   Trainer(*model, *train, tc).run();
   const double clean_acc = evaluate_accuracy(*model, *test);
   std::printf("factory model accuracy (no defects): %.2f%%\n", clean_acc * 100.0);
@@ -156,8 +156,8 @@ int main() {
               static_cast<double>(stats.latency.min_ns()) * 1e-6,
               static_cast<double>(stats.latency.max_ns()) * 1e-6);
   std::printf("per-replica served:");
-  for (std::size_t r = 0; r < stats.per_replica_served.size(); ++r) {
-    std::printf(" r%zu=%lld", r, static_cast<long long>(stats.per_replica_served[r]));
+  for (std::size_t r = 0; r < stats.replicas.size(); ++r) {
+    std::printf(" r%zu=%lld", r, static_cast<long long>(stats.replicas[r].served));
   }
   std::printf("\n%s\n%s\n", stats.summary_line().c_str(), stats.health_line().c_str());
   return 0;

@@ -20,14 +20,14 @@ int main() {
   SynthVisionConfig data_cfg;
   data_cfg.num_classes = 10;
   data_cfg.image_size = 16;
-  data_cfg.samples = env_int("FTPIM_TRAIN", 1024);
+  data_cfg.samples = env_int("FTPIM_TRAIN", 1024, 1);
   const auto train = make_synthvision(data_cfg, 1);
-  data_cfg.samples = env_int("FTPIM_TEST", 512);
+  data_cfg.samples = env_int("FTPIM_TEST", 512, 1);
   const auto test = make_synthvision(data_cfg, 2);
 
   auto model = make_resnet20(10, /*base_width=*/8, /*seed=*/3);
   TrainConfig tc;
-  tc.epochs = env_int("FTPIM_EPOCHS", 4);
+  tc.epochs = env_int("FTPIM_EPOCHS", 4, 1);
   Trainer(*model, *train, tc).run();
   const double acc_dense = evaluate_accuracy(*model, *test);
   std::printf("dense model: %.2f%%\n", acc_dense * 100.0);
@@ -63,7 +63,7 @@ int main() {
 
   // --- fragility of the pruned model --------------------------------------
   DefectEvalConfig eval_cfg;
-  eval_cfg.num_runs = env_int("FTPIM_RUNS", 10);
+  eval_cfg.num_runs = env_int("FTPIM_RUNS", 10, 1);
   const double p_sa = env_double("FTPIM_PSA", 0.01);
   const double broken = evaluate_under_defects(*model, *test, p_sa, eval_cfg).mean_acc;
   std::printf("pruned model under P_sa=%.3f defects: %.2f%%\n", p_sa, broken * 100.0);

@@ -45,7 +45,7 @@ std::unique_ptr<Sequential> make_model(std::int64_t image, std::int64_t classes,
 
 int main() {
   const double p_sa = env_double("FTPIM_PSA", 0.02);
-  const int runs = env_int("FTPIM_RUNS", 3);
+  const int runs = env_int("FTPIM_RUNS", 3, 1);
   const std::int64_t image = 8, classes = 4;
 
   SynthVisionConfig dc;
@@ -59,7 +59,7 @@ int main() {
 
   auto model = make_model(image, classes, 15);
   TrainConfig tc;
-  tc.epochs = env_int("FTPIM_EPOCHS", 6);
+  tc.epochs = env_int("FTPIM_EPOCHS", 6, 1);
   tc.batch_size = 32;
   tc.sgd.lr = 0.05f;
   tc.augment.enabled = false;

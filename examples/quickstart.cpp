@@ -53,15 +53,15 @@ int main() {
   SynthVisionConfig data_cfg;
   data_cfg.num_classes = 10;
   data_cfg.image_size = 16;
-  data_cfg.samples = env_int("FTPIM_TRAIN", 1024);
+  data_cfg.samples = env_int("FTPIM_TRAIN", 1024, 1);
   const auto train = make_synthvision(data_cfg, /*sample_stream=*/1);
-  data_cfg.samples = env_int("FTPIM_TEST", 512);
+  data_cfg.samples = env_int("FTPIM_TEST", 512, 1);
   const auto test = make_synthvision(data_cfg, /*sample_stream=*/2);
 
   // 2. Model + standard training.
   auto model = make_small_cnn(SmallCnnConfig{.image_size = 16, .width = 8, .classes = 10});
   TrainConfig tc;
-  tc.epochs = env_int("FTPIM_EPOCHS", 6);
+  tc.epochs = env_int("FTPIM_EPOCHS", 6, 1);
   tc.verbose = true;
   Trainer(*model, *train, tc).run();
   const double acc_pretrain = evaluate_accuracy(*model, *test);
@@ -69,7 +69,7 @@ int main() {
 
   // 3. Ship to a fleet of faulty ReRAM devices (1% of cells stuck).
   DefectEvalConfig eval_cfg;
-  eval_cfg.num_runs = env_int("FTPIM_RUNS", 25);
+  eval_cfg.num_runs = env_int("FTPIM_RUNS", 25, 1);
   const double p_sa = 0.01;
   std::printf("simulated fleet: %d devices at per-cell failure rate %.3f\n", eval_cfg.num_runs,
               p_sa);

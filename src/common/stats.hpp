@@ -3,7 +3,6 @@
 #pragma once
 
 #include <array>
-#include <chrono>
 #include <cstdint>
 #include <vector>
 
@@ -27,39 +26,9 @@ struct Summary {
 /// Throws std::invalid_argument on empty input or q outside [0,1].
 [[nodiscard]] double quantile(std::vector<double> values, double q);
 
-namespace detail {
-template <typename T>
-[[nodiscard]] double stat_value(const T& v) {
-  return static_cast<double>(v);
-}
-/// Durations summarize as seconds (matches Timer::seconds()).
-template <typename Rep, typename Period>
-[[nodiscard]] double stat_value(const std::chrono::duration<Rep, Period>& d) {
-  return std::chrono::duration<double>(d).count();
-}
-template <typename T>
-[[nodiscard]] std::vector<double> to_doubles(const std::vector<T>& values) {
-  std::vector<double> out;
-  out.reserve(values.size());
-  for (const T& v : values) out.push_back(stat_value(v));
-  return out;
-}
-}  // namespace detail
-
-/// summarize/quantile over float, integer, or std::chrono::duration samples
-/// (durations are converted to seconds) — callers no longer hand-copy into a
-/// std::vector<double> first.
-template <typename T>
-[[nodiscard]] Summary summarize(const std::vector<T>& values) {
-  return summarize(detail::to_doubles(values));
-}
-template <typename T>
-[[nodiscard]] double quantile(const std::vector<T>& values, double q) {
-  return quantile(detail::to_doubles(values), q);
-}
-
 /// Fixed-capacity sliding window of boolean outcomes — the integer-exact
-/// health gauge behind the serving layer's per-replica HealthMonitor.
+/// health gauge in each serve replica's health record and each fleet
+/// device's record.
 ///
 /// record() is O(1); the state (and therefore success_rate()) is a pure
 /// function of the recorded sequence, so health decisions driven by it are

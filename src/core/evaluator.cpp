@@ -40,8 +40,9 @@ DefectEvalResult evaluate_under_defects(const Module& model, const Dataset& data
   config.injector.range.validate();
   FTPIM_CHECK(!config.abft_detection || config.engine == EvalEngine::kQuantized,
               "evaluate_under_defects: abft_detection requires the quantized engine");
+  FTPIM_CHECK_GE(config.num_runs, 0, "evaluate_under_defects: num_runs");
   DefectEvalResult result;
-  if (config.num_runs <= 0) return result;
+  if (config.num_runs == 0) return result;
   const StuckAtFaultModel fault_model(p_sa, config.sa0_fraction);
   const std::size_t runs = static_cast<std::size_t>(config.num_runs);
   result.run_accs.assign(runs, 0.0);

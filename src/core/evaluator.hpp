@@ -34,7 +34,7 @@ enum class EvalEngine {
 };
 
 struct DefectEvalConfig {
-  int num_runs = 10;            ///< devices to average over (paper: 100)
+  int num_runs = 10;            ///< devices to average over (paper: 100; 0 = none)
   double sa0_fraction = kPaperSa0Fraction;
   InjectorConfig injector{};
   std::uint64_t seed = 99;      ///< master seed; device d uses derive_seed(seed, d)
@@ -72,9 +72,10 @@ DefectEvalResult evaluate_under_defects(const Module& model, const Dataset& data
                                         const DefectEvalConfig& config);
 
 /// Known-answer probe set for in-service health checks: fixed synthetic
-/// inputs plus the golden outputs a CLEAN model produces on them. The serve
-/// layer's HealthMonitor periodically runs these through a live (possibly
-/// defective, possibly aged) replica and compares against the golden answers.
+/// inputs plus the golden outputs a CLEAN model produces on them. Each serve
+/// worker periodically runs these through its live (possibly defective,
+/// possibly aged) replica and records the matches in the replica's health
+/// record; the fleet simulator probes its devices with them every tick.
 struct CanarySet {
   Tensor inputs;  ///< [count, ...sample_shape]
   Tensor golden;  ///< clean-model logits, [count, classes]

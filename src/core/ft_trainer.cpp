@@ -88,6 +88,7 @@ FaultTolerantTrainer::FaultTolerantTrainer(Module& model, const Dataset& train_d
                                            FtTrainConfig config)
     : model_(model), train_data_(train_data), config_(std::move(config)) {
   FTPIM_CHECK(!(config_.target_p_sa < 0.0 || config_.target_p_sa > 1.0), "FaultTolerantTrainer: target_p_sa must be in [0,1]");
+  FTPIM_CHECK_GE(config_.base.epochs, 0, "FtTrainConfig: base.epochs");
   if (config_.scheme == FtScheme::kOneShot) {
     stage_rates_ = {config_.target_p_sa};
   } else {

@@ -1,5 +1,6 @@
 #include "src/core/trainer.hpp"
 
+#include "src/common/check.hpp"
 #include "src/common/logging.hpp"
 #include "src/common/timer.hpp"
 #include "src/optim/lr_scheduler.hpp"
@@ -11,6 +12,7 @@ Trainer::Trainer(Module& model, const Dataset& train_data, TrainConfig config)
       train_data_(train_data),
       config_(config),
       loader_(train_data, config.batch_size, /*shuffle=*/true, config.seed, config.augment) {
+  FTPIM_CHECK_GE(config_.epochs, 0, "TrainConfig: epochs");
   optimizer_ = std::make_unique<Sgd>(parameters_of(model_), config_.sgd);
 }
 
@@ -31,7 +33,6 @@ float Trainer::run_epoch(int epoch, int total_epochs) {
     model_.backward(lr.grad_logits);
     if (hooks_.after_backward) hooks_.after_backward(epoch, it);
     optimizer_->step();
-    if (hooks_.after_step) hooks_.after_step(epoch, it);
     loss_sum += static_cast<double>(lr.loss) * static_cast<double>(batch.size());
     samples += batch.size();
   }

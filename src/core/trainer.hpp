@@ -22,8 +22,6 @@ struct TrainHooks {
   std::function<void(int, std::int64_t)> before_forward;
   /// Called after backward with grads accumulated, before the optimizer step.
   std::function<void(int, std::int64_t)> after_backward;
-  /// Called after each optimizer step.
-  std::function<void(int, std::int64_t)> after_step;
   /// Called at the end of each epoch with the mean training loss.
   std::function<void(int, float)> after_epoch;
 };

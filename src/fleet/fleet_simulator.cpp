@@ -18,6 +18,12 @@ constexpr const char* kCursorChunk = "FLCU";
 constexpr const char* kTimelineChunk = "FLTL";
 constexpr const char* kDevicesChunk = "FLDV";
 
+// Layout word at the head of FLDV. Bump the low half when the device record
+// (VirtualDevice::encode_state) changes. The fixed tag in the high half keeps
+// a chunk written before records carried a layout word, whose first u32 is
+// the device count, from passing the check.
+constexpr std::uint32_t kDeviceLayout = 0x4c440000u | 1u;
+
 }  // namespace
 
 FleetSimulator::FleetSimulator(const Module& source, const FleetConfig& config) : config_(config) {
@@ -130,6 +136,7 @@ void FleetSimulator::checkpoint_to(const std::string& path) const {
     // Each device record is u64-length-prefixed so resume() can locate all
     // records in one serial scan and replay them in parallel.
     ByteWriter devices;
+    devices.u32(kDeviceLayout);
     devices.u32(static_cast<std::uint32_t>(devices_.size()));
     for (const auto& dev : devices_) {
       ByteWriter record;
@@ -187,6 +194,14 @@ void FleetSimulator::resume(const std::string& path) {
   // One serial scan over the device chunk collects each record's extent...
   const std::vector<std::uint8_t>& device_bytes = reader.chunk(kDevicesChunk);
   ByteReader scan(device_bytes, kDevicesChunk);
+  const std::uint32_t layout = scan.u32();
+  if (layout != kDeviceLayout) {
+    throw CheckpointError(
+        CheckpointErrorKind::kVersionSkew, kDevicesChunk,
+        detail::format_msg("device records have layout word 0x%08x; this build reads layout "
+                           "0x%08x, so the sweep cannot resume",
+                           layout, kDeviceLayout));
+  }
   const std::uint32_t count = scan.u32();
   if (count != devices_.size()) {
     throw CheckpointError(

@@ -21,8 +21,9 @@
 //         mismatched config with CheckpointError kStateMismatch)
 //   FLCU  cursor: next tick to simulate
 //   FLTL  the TickAggregate timeline so far
-//   FLDV  per-device records, each u64-length-prefixed so restore can fan
-//         device replay out over parallel_for_chunks
+//   FLDV  a record-layout word (resume() refuses another layout with
+//         kVersionSkew), then the per-device records, each u64-length-prefixed
+//         so restore can fan device replay out over parallel_for_chunks
 //
 // resume() restores a freshly constructed simulator to the checkpoint's
 // cursor; stepping to the horizon then reproduces the uninterrupted run's

@@ -1,10 +1,12 @@
-// Per-replica health scoring for the self-healing fleet.
+// Per-replica health for the self-healing fleet: the configuration, the
+// record each serve worker keeps for its replica, and the one rule that maps
+// a record to a state.
 //
-// Each replica carries a sliding OutcomeWindow of recent outcomes: batch
-// forward results and known-answer canary samples (see InferenceServer's
-// maintenance path, which compares canary logits against golden outputs from
-// the pristine source model). The window's success rate is the replica's
-// health score; thresholds map the score to a three-state machine
+// A replica's record carries a sliding OutcomeWindow of recent outcomes:
+// batch forward results, known-answer canary samples (compared against
+// golden outputs from the pristine source model) and ABFT detections. The
+// window's success rate is the replica's health score; health_state() maps
+// the record to a three-state machine
 //
 //   healthy  --score < suspect_below-->  suspect
 //   suspect  --score < quarantine_below-->  quarantined
@@ -15,17 +17,14 @@
 // sequence, so the decisions — and everything downstream of them, repairs
 // included — are bit-reproducible in deterministic serving mode.
 //
-// Thread safety: fully synchronized on an internal mutex. Workers record
-// outcomes for their own replica but read snapshots of every replica's
-// state, and the stats path reads all of them at once.
+// Thread safety: none needed. Only the replica's worker reads or writes its
+// record; InferenceServer publishes the record's gauges into ServerStats
+// under the server's mutex once per batch.
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "src/common/stats.hpp"
-#include "src/common/thread_annotations.hpp"
 
 namespace ftpim::serve {
 
@@ -39,8 +38,8 @@ enum class ReplicaHealth : std::uint8_t {
 
 /// When replicas get re-programmed in service.
 enum class ScrubPolicy : std::uint8_t {
-  /// Scrub only the tiles ABFT flags, when it flags them (the PR 9 path;
-  /// requires a quantized deployment with abft.enabled to do anything).
+  /// Scrub only the tiles ABFT flags, when it flags them (requires a
+  /// quantized deployment with abft.enabled to do anything).
   kDetectionDriven = 0,
   /// Additionally refresh the whole replica every scrub_every_batches served
   /// batches (ReplicaPool::refresh): re-program from retained state and
@@ -69,12 +68,9 @@ struct HealthConfig {
   /// flagged tiles before the replica is force-quarantined (0 = escalate on
   /// the first detection). A transient fault heals on the first scrub; a
   /// persistent one survives every retry and escalates to the full repair
-  /// path.
+  /// path. Every detected batch also records one failure outcome, so
+  /// detections depress the health score like any other failure signal.
   int max_scrub_retries = 3;
-  /// Each ABFT-detected batch also records one failure outcome into the
-  /// replica's window (the server records it), so detections depress the
-  /// health score like any other failure signal.
-  bool detection_fails_window = true;
   /// Scrub scheduling (see ScrubPolicy). kPeriodic requires a cadence.
   ScrubPolicy scrub_policy = ScrubPolicy::kDetectionDriven;
   /// kPeriodic only: served batches between whole-replica refreshes (> 0).
@@ -83,64 +79,32 @@ struct HealthConfig {
   void validate() const;
 };
 
-class HealthMonitor {
- public:
-  HealthMonitor(int num_replicas, const HealthConfig& config);
+/// One replica's health record, owned by the replica's worker.
+struct ReplicaRecord {
+  explicit ReplicaRecord(int window_capacity) : window(window_capacity) {}
 
-  HealthMonitor(const HealthMonitor&) = delete;
-  HealthMonitor& operator=(const HealthMonitor&) = delete;
+  OutcomeWindow window;  ///< batch, canary and detection outcomes
+  /// Forced quarantine: scrub retries ran out, so the replica is quarantined
+  /// whatever its score. Held until mark_repaired().
+  bool pinned = false;
+  int repairs = 0;
+  std::int64_t batches_since_repair = 0;  ///< the aging clock
+  std::int64_t batches_since_canary = 0;
+  std::int64_t batches_since_scrub = 0;   ///< ScrubPolicy::kPeriodic countdown
+  /// ABFT-flagged batches in a row; a clean batch resets it, exceeding
+  /// max_scrub_retries pins the quarantine.
+  std::int64_t consecutive_detections = 0;
+  ReplicaHealth last_state = ReplicaHealth::kHealthy;
 
-  /// Records `count` identical outcomes for one replica (a batch of N
-  /// requests that all succeeded or all failed records N at once).
-  void record(int replica_id, bool success, int count = 1);
-
-  /// Health score in [0,1]: the window's success rate (1.0 while empty).
-  [[nodiscard]] double score(int replica_id) const;
-
-  /// Threshold mapping of score(); healthy until min_samples outcomes exist.
-  [[nodiscard]] ReplicaHealth state(int replica_id) const;
-
-  /// Clears the replica's window after a repair — the new device starts with
-  /// a clean record — and bumps its repair count (also lifts a forced
-  /// quarantine).
-  void mark_repaired(int replica_id);
-
-  /// Pins the replica to kQuarantined regardless of its window score — the
-  /// escalation path when scrub retries are exhausted. Sticky until
-  /// mark_repaired.
-  void force_quarantine(int replica_id);
-
-  struct Snapshot {
-    double score = 1.0;
-    ReplicaHealth state = ReplicaHealth::kHealthy;
-    int repairs = 0;
-    int window_size = 0;      ///< outcomes currently in the window
-    int window_capacity = 0;  ///< the window's configured capacity
-    bool forced = false;      ///< quarantine pinned by force_quarantine
-  };
-  /// Consistent point-in-time view of every replica (one lock acquisition).
-  [[nodiscard]] std::vector<Snapshot> snapshot() const;
-
-  [[nodiscard]] int num_replicas() const noexcept {
-    return static_cast<int>(replicas_.size());
-  }
-  [[nodiscard]] const HealthConfig& config() const noexcept { return config_; }
-
- private:
-  struct ReplicaRecord {
-    OutcomeWindow window;
-    int repairs = 0;
-    bool forced_quarantine = false;
-    explicit ReplicaRecord(int capacity) : window(capacity) {}
-  };
-
-  [[nodiscard]] ReplicaHealth state_locked(const ReplicaRecord& r) const FTPIM_REQUIRES(mu_);
-  [[nodiscard]] const ReplicaRecord& at(int replica_id) const FTPIM_REQUIRES(mu_);
-  [[nodiscard]] ReplicaRecord& at(int replica_id) FTPIM_REQUIRES(mu_);
-
-  const HealthConfig config_;
-  mutable Mutex mu_;
-  std::vector<ReplicaRecord> replicas_ FTPIM_GUARDED_BY(mu_);
+  /// The replica was replaced by a fresh die: forget the window, the pin,
+  /// the clock, the countdowns and the streak, and count one repair.
+  void mark_repaired() noexcept;
 };
+
+/// The health rule: pinned -> quarantined; fewer than min_samples outcomes
+/// -> healthy; otherwise the score against quarantine_below, then
+/// suspect_below.
+[[nodiscard]] ReplicaHealth health_state(const ReplicaRecord& record,
+                                         const HealthConfig& config) noexcept;
 
 }  // namespace ftpim::serve

@@ -28,6 +28,12 @@ FTPIM_COLD std::string describe(const std::exception_ptr& error) {
   }
 }
 
+/// Logs a forward pass (batch or canary) that threw; the caller counts it in
+/// ServerStats::worker_exceptions.
+FTPIM_COLD void log_worker_exception(const char* where, const std::exception_ptr& error) {
+  log_warn("serve: %s threw: %s", where, describe(error).c_str());
+}
+
 }  // namespace
 
 InferenceServer::InferenceServer(const Module& model, const ServerConfig& config)
@@ -35,15 +41,15 @@ InferenceServer::InferenceServer(const Module& model, const ServerConfig& config
       pool_(model, config.pool),
       clock_(config.clock != nullptr ? config.clock : &default_clock_),
       queue_(config.queue_capacity),
-      health_(pool_.size(), config.health),
       aging_(config.aging) {
   config_.batching.validate();
+  config_.health.validate();
   FTPIM_CHECK_GE(config.max_attempts, 1, "ServerConfig: max_attempts");
   FTPIM_CHECK_GE(config.default_deadline_ns, std::int64_t{0}, "ServerConfig: default_deadline_ns");
   MutexLock lock(mu_);
   stats_.canary_every_batches = config_.health.canary_every_batches;
-  stats_.per_replica_served.assign(static_cast<std::size_t>(pool_.size()), 0);
-  stats_.per_replica_canary_progress.assign(static_cast<std::size_t>(pool_.size()), 0);
+  stats_.health_window_capacity = config_.health.window;
+  stats_.replicas.assign(static_cast<std::size_t>(pool_.size()), ReplicaStats{});
 }
 
 InferenceServer::~InferenceServer() { stop(); }
@@ -190,18 +196,6 @@ ServerStats InferenceServer::stats() const {
     out = stats_;
   }
   out.queue_depth = queue_.size();
-  const std::vector<HealthMonitor::Snapshot> health = health_.snapshot();
-  out.per_replica_health.reserve(health.size());
-  out.per_replica_state.reserve(health.size());
-  out.per_replica_repairs.reserve(health.size());
-  out.per_replica_window_size.reserve(health.size());
-  for (const HealthMonitor::Snapshot& s : health) {
-    out.per_replica_health.push_back(s.score);
-    out.per_replica_state.push_back(s.state);
-    out.per_replica_repairs.push_back(s.repairs);
-    out.per_replica_window_size.push_back(s.window_size);
-    out.health_window_capacity = s.window_capacity;
-  }
   return out;
 }
 
@@ -226,7 +220,7 @@ FTPIM_HOT bool InferenceServer::triage(int replica_id, Request& request) {
 }
 
 FTPIM_HOT void InferenceServer::worker_loop(int replica_id) noexcept {
-  WorkerTick tick;
+  ReplicaRecord health(config_.health.window);
   BatchStage stage;
   std::vector<Request> batch;
   batch.reserve(static_cast<std::size_t>(config_.batching.max_batch_size));
@@ -254,8 +248,8 @@ FTPIM_HOT void InferenceServer::worker_loop(int replica_id) noexcept {
       if (triage(replica_id, more)) batch.push_back(std::move(more));
     }
     if (batch.empty()) continue;  // triage answered/re-routed everything
-    run_batch(replica_id, batch, tick, stage);
-    maintain(replica_id, tick);
+    run_batch(replica_id, batch, health, stage);
+    maintain(replica_id, health, stage.request_shape);
   }
 }
 
@@ -263,6 +257,7 @@ FTPIM_COLD Tensor& InferenceServer::BatchStage::materialize(const Shape& sample_
                                                             std::int64_t batch_size) {
   const auto idx = static_cast<std::size_t>(batch_size - 1);
   if (idx >= staged.size()) staged.resize(idx + 1);
+  request_shape = sample_shape;
   Shape batched_shape;
   batched_shape.reserve(sample_shape.size() + 1);
   batched_shape.push_back(batch_size);
@@ -272,7 +267,7 @@ FTPIM_COLD Tensor& InferenceServer::BatchStage::materialize(const Shape& sample_
 }
 
 FTPIM_HOT void InferenceServer::run_batch(int replica_id, std::vector<Request>& batch,
-                                          WorkerTick& tick, BatchStage& stage) {
+                                          ReplicaRecord& health, BatchStage& stage) {
   const auto batch_size = static_cast<std::int64_t>(batch.size());
   const Shape& sample_shape = batch.front().input.shape();
   Tensor& inputs = stage.input_for(sample_shape, batch_size);
@@ -295,8 +290,8 @@ FTPIM_HOT void InferenceServer::run_batch(int replica_id, std::vector<Request>& 
     ok = false;
     error = std::current_exception();
   }
-  ++tick.batches_since_repair;
-  health_.record(replica_id, ok);
+  ++health.batches_since_repair;
+  health.window.record(ok);
 
   const std::int64_t done_ns = clock_->now_ns();
   if (ok) {
@@ -325,7 +320,7 @@ FTPIM_HOT void InferenceServer::run_batch(int replica_id, std::vector<Request>& 
     ++stats_.batches;
     stats_.served += answered;
     stats_.poisoned += dead;
-    stats_.per_replica_served[static_cast<std::size_t>(replica_id)] += answered;
+    stats_.replicas[static_cast<std::size_t>(replica_id)].served += answered;
     for (const Request& req : batch) {
       stats_.latency.record(std::max<std::int64_t>(std::int64_t{0}, done_ns - req.enqueue_ns));
     }
@@ -342,13 +337,14 @@ FTPIM_COLD void InferenceServer::fail_batch(int replica_id, std::vector<Request>
   // Failed attempt: every request burns one attempt and excludes this
   // replica; those with budget, time, and an alternative replica left go
   // back into the queue for failover, the rest fail with a typed error.
-  note_worker_exception("batch forward pass", error);
+  log_worker_exception("batch forward pass", error);
   const auto batch_size = static_cast<std::int64_t>(batch.size());
   const std::string cause = describe(error);
   std::int64_t requeued = 0;
   {
     MutexLock lock(mu_);
     ++stats_.batches;
+    ++stats_.worker_exceptions;
   }
   for (std::int64_t i = 0; i < batch_size; ++i) {
     Request& req = batch[static_cast<std::size_t>(i)];
@@ -374,33 +370,18 @@ FTPIM_COLD void InferenceServer::fail_batch(int replica_id, std::vector<Request>
   stats_.retried += requeued;
 }
 
-FTPIM_COLD void InferenceServer::note_worker_exception(const char* where,
-                                                       const std::exception_ptr& error) {
-  log_warn("serve: %s threw: %s", where, describe(error).c_str());
-  MutexLock lock(mu_);
-  ++stats_.worker_exceptions;
-}
+FTPIM_COLD void InferenceServer::maintain(int replica_id, ReplicaRecord& health,
+                                          const Shape& sample_shape) {
+  // Counter increments collect here; the last step publishes them with the
+  // replica's gauges under one lock acquisition.
+  MaintenanceCounters tally;
 
-FTPIM_COLD void InferenceServer::ensure_canary() {
-  std::call_once(canary_once_, [this] {
-    Shape sample_shape;
-    {
-      MutexLock lock(mu_);
-      sample_shape = input_shape_;  // non-empty: a batch was already served
-    }
-    canary_ = make_canary_set(pool_.source(), sample_shape, config_.health.canary_samples,
-                              kCanarySeed);
-  });
-}
-
-FTPIM_COLD void InferenceServer::maintain(int replica_id, WorkerTick& tick) {
   // 0. ABFT: drain the checksum-detection reports the batch just accumulated.
-  // A flagged batch depresses the health score (one failure outcome, when
-  // health.detection_fails_window) and is answered with an in-place scrub of
-  // the named tiles; once
-  // max_scrub_retries consecutive batches stay flagged the fault is
-  // persistent — scrubbing cannot help — and the replica is force-
-  // quarantined so step 3 runs the full repair path.
+  // A flagged batch records one failure outcome and is answered with an
+  // in-place scrub of the named tiles; once max_scrub_retries consecutive
+  // batches stay flagged the fault is persistent — scrubbing cannot help —
+  // and the replica's quarantine is pinned so step 3 runs the full repair
+  // path.
   if (pool_.abft_armed()) {
     const std::vector<abft::TileFaultReport> reports = pool_.take_abft_reports(replica_id);
     std::int64_t mismatches = 0;
@@ -410,36 +391,26 @@ FTPIM_COLD void InferenceServer::maintain(int replica_id, WorkerTick& tick) {
       flagged += r.flagged_tiles();
     }
     if (mismatches > 0) {
-      if (config_.health.detection_fails_window) health_.record(replica_id, false);
-      ++tick.consecutive_detections;
-      {
-        MutexLock lock(mu_);
-        ++stats_.abft_detections;
-        stats_.abft_flagged_tiles += flagged;
-      }
-      if (tick.consecutive_detections <= config_.health.max_scrub_retries) {
-        const std::int64_t scrubbed = pool_.scrub(replica_id, reports);
-        MutexLock lock(mu_);
-        ++stats_.abft_scrubs;
-        stats_.abft_scrubbed_tiles += scrubbed;
+      health.window.record(false);
+      ++health.consecutive_detections;
+      ++tally.abft_detections;
+      tally.abft_flagged_tiles += flagged;
+      if (health.consecutive_detections <= config_.health.max_scrub_retries) {
+        tally.abft_scrubbed_tiles += pool_.scrub(replica_id, reports);
+        ++tally.abft_scrubs;
       } else {
-        health_.force_quarantine(replica_id);
-        MutexLock lock(mu_);
-        ++stats_.abft_escalations;
+        health.pinned = true;
+        ++tally.abft_escalations;
       }
     } else {
-      tick.consecutive_detections = 0;
+      health.consecutive_detections = 0;
     }
   }
 
   // 1. Aging: the replica's defect map grows with its served-batch count.
   if (config_.aging.enabled()) {
-    const std::int64_t added = pool_.advance_aging(
-        replica_id, aging_, aging_.intervals_at(tick.batches_since_repair));
-    if (added > 0) {
-      MutexLock lock(mu_);
-      stats_.aged_cells += added;
-    }
+    tally.aged_cells += pool_.advance_aging(replica_id, aging_,
+                                            aging_.intervals_at(health.batches_since_repair));
   }
 
   // 1.5 Periodic background refresh (ScrubPolicy::kPeriodic): every
@@ -448,60 +419,56 @@ FTPIM_COLD void InferenceServer::maintain(int replica_id, WorkerTick& tick) {
   // on a schedule instead of waiting for a detector or a canary miss. Runs
   // after aging so the tick ends on a freshly programmed die.
   if (config_.health.scrub_policy == ScrubPolicy::kPeriodic &&
-      ++tick.batches_since_scrub >= config_.health.scrub_every_batches) {
-    tick.batches_since_scrub = 0;
+      ++health.batches_since_scrub >= config_.health.scrub_every_batches) {
+    health.batches_since_scrub = 0;
     pool_.refresh(replica_id);
-    MutexLock lock(mu_);
-    ++stats_.periodic_refreshes;
+    ++tally.periodic_refreshes;
   }
 
   // 2. Canary: every canary_every_batches served batches, run the known-
   // answer probes and score against the pristine model's golden outputs.
   if (config_.health.canary_every_batches > 0 &&
-      ++tick.batches_since_canary >= config_.health.canary_every_batches) {
-    tick.batches_since_canary = 0;
-    ensure_canary();
+      ++health.batches_since_canary >= config_.health.canary_every_batches) {
+    health.batches_since_canary = 0;
+    std::call_once(canary_once_, [&] {
+      canary_ = make_canary_set(pool_.source(), sample_shape, config_.health.canary_samples,
+                                kCanarySeed);
+    });
     int passed = 0;
     try {
       const Tensor logits = pool_.replica(replica_id).forward(canary_.inputs, /*training=*/false);
       passed = score_canary(logits, canary_);
     } catch (...) {
       passed = 0;  // a canary forward that throws fails every probe
-      note_worker_exception("canary probe", std::current_exception());
+      log_worker_exception("canary probe", std::current_exception());
+      ++tally.worker_exceptions;
     }
-    const int missed = config_.health.canary_samples - passed;
-    if (passed > 0) health_.record(replica_id, true, passed);
-    if (missed > 0) health_.record(replica_id, false, missed);
-    MutexLock lock(mu_);
-    ++stats_.canary_batches;
-    stats_.canary_failures += missed;
-  }
-  {
-    // Publish the canary countdown so health_line() can show a "probe is
-    // coming" gauge next to each replica's window fill.
-    MutexLock lock(mu_);
-    stats_.per_replica_canary_progress[static_cast<std::size_t>(replica_id)] =
-        tick.batches_since_canary;
+    for (int i = 0; i < config_.health.canary_samples; ++i) health.window.record(i < passed);
+    ++tally.canary_batches;
+    tally.canary_failures += config_.health.canary_samples - passed;
   }
 
   // 3. Quarantine detection and (optional) in-place repair.
-  const ReplicaHealth state = health_.state(replica_id);
-  if (state == ReplicaHealth::kQuarantined) {
-    if (tick.last_state != ReplicaHealth::kQuarantined) {
-      MutexLock lock(mu_);
-      ++stats_.quarantines;
-    }
-    if (config_.health.repair_on_quarantine) {
-      pool_.repair(replica_id);  // fresh clone of the pristine source + fresh map
-      health_.mark_repaired(replica_id);
-      tick = WorkerTick{};
-      MutexLock lock(mu_);
-      ++stats_.repairs;
-      stats_.per_replica_canary_progress[static_cast<std::size_t>(replica_id)] = 0;
-      return;
-    }
+  const ReplicaHealth state = health_state(health, config_.health);
+  if (state == ReplicaHealth::kQuarantined && health.last_state != ReplicaHealth::kQuarantined) {
+    ++tally.quarantines;
   }
-  tick.last_state = state;
+  health.last_state = state;
+  if (state == ReplicaHealth::kQuarantined && config_.health.repair_on_quarantine) {
+    pool_.repair(replica_id);  // fresh clone of the pristine source + fresh map
+    health.mark_repaired();
+    ++tally.repairs;
+  }
+
+  // 4. Publish. A quarantine repaired above shows only in the counters.
+  MutexLock lock(mu_);
+  stats_ += tally;
+  ReplicaStats& row = stats_.replicas[static_cast<std::size_t>(replica_id)];
+  row.health = health.window.success_rate();
+  row.state = health.last_state;
+  row.repairs = health.repairs;
+  row.window_size = health.window.size();
+  row.canary_progress = health.batches_since_canary;
 }
 
 }  // namespace ftpim::serve

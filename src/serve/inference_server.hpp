@@ -8,8 +8,10 @@
 // coalesces them into batches under the BatchingPolicy, runs one batched
 // forward pass on its (persistently faulted) clone, and fulfills the
 // promises. Because a worker is the sole driver of its replica, the model
-// hot path is lock-free; the only shared state is the queue, the stats
-// block, and the HealthMonitor, each behind its own annotated Mutex.
+// hot path is lock-free; the only shared state is the queue and the stats
+// block, each behind its own annotated Mutex. Each worker also owns its
+// replica's health record (health_monitor.hpp) and publishes the record's
+// gauges into the stats block once per batch.
 //
 // Robustness (this is what makes the fleet self-healing):
 //
@@ -20,9 +22,10 @@
 //     attempts and re-queues it with the failing replica excluded, so a
 //     different device gets the next try. When the budget, the deadline, or
 //     the fleet runs out, the future reports kDeadlineExceeded/kExhausted.
-//   * Health & repair — every batch and periodic known-answer canary probes
-//     (golden outputs from the pristine source model) feed a per-replica
-//     HealthMonitor; replicas scoring below threshold are quarantined and
+//   * Health & repair — every batch, ABFT detection and periodic
+//     known-answer canary probe (golden outputs from the pristine source
+//     model) feeds the replica's health record; replicas scoring below
+//     threshold are quarantined and
 //     (by default) repaired in place: re-cloned from the pristine source
 //     with a fresh defect map.
 //   * In-service aging — an AgingModel deterministically grows each
@@ -137,9 +140,6 @@ class InferenceServer {
   /// Point-in-time metrics snapshot (see ServerStats).
   [[nodiscard]] ServerStats stats() const;
 
-  /// Replica health, scored from batch outcomes and canary probes.
-  [[nodiscard]] const HealthMonitor& health() const noexcept { return health_; }
-
   /// The underlying fleet — e.g. to measure per-replica accuracy offline.
   /// Do not drive replicas while the server is running.
   [[nodiscard]] ReplicaPool& pool() noexcept { return pool_; }
@@ -148,24 +148,13 @@ class InferenceServer {
   [[nodiscard]] const ServerConfig& config() const noexcept { return config_; }
 
  private:
-  /// Per-worker maintenance counters; owned by the worker thread.
-  struct WorkerTick {
-    std::int64_t batches_since_repair = 0;
-    std::int64_t batches_since_canary = 0;
-    /// Served batches since the last ScrubPolicy::kPeriodic refresh.
-    std::int64_t batches_since_scrub = 0;
-    /// ABFT-flagged batches in a row; a clean batch resets it, exceeding
-    /// health.max_scrub_retries escalates to a forced quarantine.
-    std::int64_t consecutive_detections = 0;
-    ReplicaHealth last_state = ReplicaHealth::kHealthy;
-  };
-
   /// Per-worker reusable staging for batched inputs: one Tensor per batch
   /// size, materialized on first use and overwritten in full on every later
   /// batch of that size, so steady-state dispatch allocates nothing. Owned
   /// by the worker thread — never shared.
   struct BatchStage {
     std::vector<Tensor> staged;  ///< index = batch_size - 1
+    Shape request_shape;         ///< every request's [C,H,W], set by materialize()
 
     FTPIM_HOT [[nodiscard]] Tensor& input_for(const Shape& sample_shape,
                                               std::int64_t batch_size) {
@@ -184,19 +173,17 @@ class InferenceServer {
   /// request belongs in this worker's batch; false = it was re-queued for
   /// another replica or answered with a ServeError.
   [[nodiscard]] bool triage(int replica_id, Request& request);
-  void run_batch(int replica_id, std::vector<Request>& batch, WorkerTick& tick,
+  void run_batch(int replica_id, std::vector<Request>& batch, ReplicaRecord& health,
                  BatchStage& stage);
   /// Slow path of run_batch: the forward pass threw. Logs the cause, burns
   /// one attempt per request, re-queues those with budget/time/alternatives
   /// left, answers the rest with typed errors.
   void fail_batch(int replica_id, std::vector<Request>& batch,
                   const std::exception_ptr& error, std::int64_t done_ns);
-  /// Records a forward pass (batch or canary) that threw: logs the cause
-  /// through the sink and bumps the worker_exceptions counter.
-  void note_worker_exception(const char* where, const std::exception_ptr& error);
-  /// Post-batch upkeep: aging, canary probes, quarantine detection, repair.
-  void maintain(int replica_id, WorkerTick& tick);
-  void ensure_canary();
+  /// Post-batch upkeep: ABFT scrubs, aging, periodic refresh, canary probes,
+  /// quarantine detection and repair. Publishes its counters and the
+  /// replica's gauges into stats_ under one lock acquisition.
+  void maintain(int replica_id, ReplicaRecord& health, const Shape& sample_shape);
   /// Rejects a not-yet-accepted request (rolls back submit accounting).
   void reject(Request&& request, ServeError::Kind kind, const char* why);
   /// Answers an ACCEPTED request with a typed error and settles its
@@ -208,7 +195,6 @@ class InferenceServer {
   SteadyServeClock default_clock_;
   ServeClock* clock_;  ///< config_.clock or &default_clock_
   RequestQueue queue_;
-  HealthMonitor health_;
   AgingModel aging_;
 
   std::once_flag canary_once_;
@@ -220,9 +206,8 @@ class InferenceServer {
   CondVar drained_;  ///< signaled when stats_.in_flight hits zero
   State state_ FTPIM_GUARDED_BY(mu_) = State::kIdle;
   std::uint64_t next_id_ FTPIM_GUARDED_BY(mu_) = 0;
-  /// Every counter, the per-replica tallies and the latency histogram live
-  /// here and nowhere else; stats() copies it and adds the queue depth and
-  /// the HealthMonitor gauges.
+  /// Every counter, the per-replica rows and the latency histogram live
+  /// here and nowhere else; stats() copies it and adds the queue depth.
   ServerStats stats_ FTPIM_GUARDED_BY(mu_);
   Shape input_shape_ FTPIM_GUARDED_BY(mu_);  ///< pinned by the first submit()
 

@@ -16,6 +16,7 @@ ReplicaPool::ReplicaPool(const Module& source, const ReplicaPoolConfig& config)
   if (config.engine == ReplicaEngine::kQuantized) config.quantized.validate();
 
   source_ = source.clone();
+  source_cells_ = crossbar_cell_count(*source_);
   replicas_.resize(static_cast<std::size_t>(config.num_replicas));
   for (int r = 0; r < config.num_replicas; ++r) {
     install(replicas_[static_cast<std::size_t>(r)], r);
@@ -73,12 +74,11 @@ void ReplicaPool::install(Replica& rep, int index) {
   rep.aged_intervals = 0;
   // A pristine fleet carries an empty map so in-service aging has a cell
   // array to grow into.
-  const std::int64_t cells = crossbar_cell_count(*source_);
-  rep.map = DefectMap::empty(cells);
+  rep.map = DefectMap::empty(source_cells_);
   if (config_.p_sa > 0.0) {
     const StuckAtFaultModel fault_model(config_.p_sa, config_.sa0_fraction);
     Rng rng(seed_for(index, rep.generation));
-    rep.map = DefectMap::sample(cells, fault_model, rng);
+    rep.map = DefectMap::sample(source_cells_, fault_model, rng);
   }
   if (config_.engine != ReplicaEngine::kQuantized) {
     redeploy_float(rep);

@@ -173,6 +173,9 @@ class ReplicaPool {
 
   ReplicaPoolConfig config_;
   std::unique_ptr<Module> source_;  ///< pristine clone; never faulted
+  /// Crossbar cells of source_, counted once: walking a module's params
+  /// writes their names, so workers repairing at once must not walk source_.
+  std::int64_t source_cells_ = 0;
   std::vector<Replica> replicas_;
 };
 

@@ -1,11 +1,13 @@
 // Point-in-time serving metrics snapshot.
 //
-// InferenceServer keeps one of these under its stats mutex and increments
-// its counters, per-replica tallies and latency histogram in place; stats()
-// copies it, adds the queue depth and the HealthMonitor gauges, and hands it
-// out by value, so readers never hold a lock into the hot path. Everything
-// here is integer-or-derived, so deterministic serving mode reproduces the
-// whole snapshot bit-identically.
+// InferenceServer keeps one of these under its mutex. Request accounting
+// (served, failed, latency, per-replica served) is written where the
+// requests are answered; each worker's maintain() step tallies its
+// MaintenanceCounters and its replica's health gauges locally and adds them
+// here under one lock acquisition per batch. stats() copies the whole
+// struct and adds the queue depth, so readers never hold a lock into the hot
+// path. Everything here is integer-or-derived, so deterministic serving mode
+// reproduces the whole snapshot bit-identically.
 #pragma once
 
 #include <cstdint>
@@ -18,18 +20,8 @@
 
 namespace ftpim::serve {
 
-struct ServerStats {
-  std::int64_t submitted = 0;  ///< accepted into the queue
-  // Rejections by reason: the future carried a ServeError of the matching
-  // kind and the request never reached a forward pass.
-  std::int64_t rejected_queue_full = 0;  ///< kReject policy, queue at capacity
-  std::int64_t rejected_stopped = 0;     ///< server stopped before it ran
-  std::int64_t served = 0;     ///< answered with a result
-  std::int64_t failed = 0;     ///< answered with an exception, all retries spent
-  std::int64_t retried = 0;    ///< failed attempts re-queued onto another replica
-  std::int64_t expired = 0;    ///< failed specifically with kDeadlineExceeded
-  std::int64_t poisoned = 0;   ///< promises already satisfied when answered
-  std::int64_t batches = 0;    ///< batched forward passes executed
+/// The counters a worker's maintain() step adds to.
+struct MaintenanceCounters {
   std::int64_t canary_batches = 0;   ///< known-answer probe batches run
   std::int64_t canary_failures = 0;  ///< probe samples that missed golden
   std::int64_t quarantines = 0;      ///< healthy/suspect -> quarantined transitions
@@ -42,18 +34,55 @@ struct ServerStats {
   std::int64_t abft_escalations = 0;    ///< scrub retries exhausted -> forced quarantine
   std::int64_t periodic_refreshes = 0;  ///< ScrubPolicy::kPeriodic whole-replica refreshes
   std::int64_t worker_exceptions = 0;  ///< forward passes (batch or canary) that threw
+
+  MaintenanceCounters& operator+=(const MaintenanceCounters& o) noexcept {
+    canary_batches += o.canary_batches;
+    canary_failures += o.canary_failures;
+    quarantines += o.quarantines;
+    repairs += o.repairs;
+    aged_cells += o.aged_cells;
+    abft_detections += o.abft_detections;
+    abft_flagged_tiles += o.abft_flagged_tiles;
+    abft_scrubs += o.abft_scrubs;
+    abft_scrubbed_tiles += o.abft_scrubbed_tiles;
+    abft_escalations += o.abft_escalations;
+    periodic_refreshes += o.periodic_refreshes;
+    worker_exceptions += o.worker_exceptions;
+    return *this;
+  }
+};
+
+/// One replica's row: the requests it answered and the health gauges its
+/// worker publishes after every batch.
+struct ReplicaStats {
+  std::int64_t served = 0;
+  double health = 1.0;                            ///< health score in [0,1]
+  ReplicaHealth state = ReplicaHealth::kHealthy;
+  int repairs = 0;
+  int window_size = 0;                            ///< outcomes in the health window
+  /// Batches served since the last canary probe (0 when canaries are off).
+  std::int64_t canary_progress = 0;
+
+  bool operator==(const ReplicaStats&) const = default;
+};
+
+struct ServerStats : MaintenanceCounters {
+  std::int64_t submitted = 0;  ///< accepted into the queue
+  // Rejections by reason: the future carried a ServeError of the matching
+  // kind and the request never reached a forward pass.
+  std::int64_t rejected_queue_full = 0;  ///< kReject policy, queue at capacity
+  std::int64_t rejected_stopped = 0;     ///< server stopped before it ran
+  std::int64_t served = 0;     ///< answered with a result
+  std::int64_t failed = 0;     ///< answered with an exception, all retries spent
+  std::int64_t retried = 0;    ///< failed attempts re-queued onto another replica
+  std::int64_t expired = 0;    ///< failed specifically with kDeadlineExceeded
+  std::int64_t poisoned = 0;   ///< promises already satisfied when answered
+  std::int64_t batches = 0;    ///< batched forward passes executed
   std::size_t queue_depth = 0; ///< requests waiting at snapshot time
   std::int64_t in_flight = 0;  ///< accepted but not yet answered
   std::int64_t canary_every_batches = 0;  ///< configured canary cadence (0 = off)
-  std::vector<std::int64_t> per_replica_served;   ///< indexed by replica id
-  std::vector<double> per_replica_health;         ///< health score in [0,1]
-  std::vector<ReplicaHealth> per_replica_state;   ///< health state machine
-  std::vector<int> per_replica_repairs;           ///< repairs per replica
-  std::vector<int> per_replica_window_size;       ///< outcomes in each health window
-  int health_window_capacity = 0;                 ///< configured window capacity
-  /// Batches served since each replica's last canary probe (worker-published
-  /// every batch; 0 when canaries are off or the replica has not served yet).
-  std::vector<std::int64_t> per_replica_canary_progress;
+  std::vector<ReplicaStats> replicas;  ///< indexed by replica id
+  int health_window_capacity = 0;      ///< configured window capacity
   LatencyHistogram latency;    ///< submit -> answer, per the server clock
 
   /// Total rejections across all reasons.
@@ -90,16 +119,15 @@ struct ServerStats {
   /// recorded, no canary due) from a healthy idle one.
   [[nodiscard]] std::string health_line() const {
     std::string per;
-    for (std::size_t r = 0; r < per_replica_state.size(); ++r) {
-      per += detail::format_msg("%s[%zu]=%s:%.2f", r == 0 ? "" : " ", r,
-                                to_string(per_replica_state[r]), per_replica_health[r]);
-      if (r < per_replica_window_size.size()) {
-        per += detail::format_msg(" win=%d/%d", per_replica_window_size[r],
-                                  health_window_capacity);
+    for (std::size_t r = 0; r < replicas.size(); ++r) {
+      const ReplicaStats& rep = replicas[r];
+      per += detail::format_msg("%s[%zu]=%s:%.2f", r == 0 ? "" : " ", r, to_string(rep.state),
+                                rep.health);
+      if (health_window_capacity > 0) {
+        per += detail::format_msg(" win=%d/%d", rep.window_size, health_window_capacity);
       }
-      if (canary_every_batches > 0 && r < per_replica_canary_progress.size()) {
-        per += detail::format_msg(" can=%lld/%lld",
-                                  static_cast<long long>(per_replica_canary_progress[r]),
+      if (canary_every_batches > 0) {
+        per += detail::format_msg(" can=%lld/%lld", static_cast<long long>(rep.canary_progress),
                                   static_cast<long long>(canary_every_batches));
       }
     }

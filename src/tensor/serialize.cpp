@@ -1,31 +1,17 @@
 #include "src/tensor/serialize.hpp"
 
-#include <cstdio>
 #include <cstring>
-#include <memory>
-#include <stdexcept>
 
-#include "src/common/atomic_file.hpp"
 #include "src/common/checkpoint.hpp"
 
 namespace ftpim {
 namespace {
-
-constexpr std::uint32_t kMagic = 0x4d505446;  // "FTPM" little-endian
-constexpr std::uint32_t kVersion = 1;
 
 // Tensor names/shapes are bounded in practice; a cap turns a corrupted length
 // field into a format error instead of a multi-GB allocation.
 constexpr std::uint64_t kMaxEntries = 1u << 24;
 constexpr std::uint32_t kMaxNameLen = 1u << 16;
 constexpr std::uint32_t kMaxRank = 16;
-
-struct FileCloser {
-  void operator()(std::FILE* f) const noexcept {
-    if (f != nullptr) std::fclose(f);
-  }
-};
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
 }  // namespace
 
@@ -78,41 +64,6 @@ StateDict decode_state_dict(ByteReader& in) {
       throw CheckpointError(CheckpointErrorKind::kFormat, "", "duplicate state dict entry");
     }
   }
-  return state;
-}
-
-void save_state_dict(const StateDict& state, const std::string& path) {
-  ByteWriter out;
-  out.u32(kMagic);
-  out.u32(kVersion);
-  encode_state_dict(state, out);
-  AtomicFileWriter file(path);
-  file.write(out.bytes());
-  file.commit();
-}
-
-StateDict load_state_dict(const std::string& path) {
-  FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (!f) throw std::runtime_error("serialize: cannot open " + path + " for reading");
-  std::vector<std::uint8_t> image;
-  std::uint8_t buf[1 << 16];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f.get())) > 0) {
-    image.insert(image.end(), buf, buf + n);
-  }
-  if (std::ferror(f.get()) != 0) {
-    throw std::runtime_error("serialize: short read from " + path);
-  }
-  ByteReader in(image, path);
-  if (in.u32() != kMagic) {
-    throw std::runtime_error("serialize: bad magic in " + path);
-  }
-  const auto version = in.u32();
-  if (version != kVersion) {
-    throw std::runtime_error("serialize: unsupported version in " + path);
-  }
-  StateDict state = decode_state_dict(in);
-  in.expect_done();
   return state;
 }
 

@@ -1,13 +1,9 @@
-// Binary serialization of tensors and named-tensor state dicts.
+// Binary serialization of named-tensor state dicts.
 //
-// In-memory entry encoding (little-endian, shared by the legacy FTPM file
-// format and the MODL/OPTM chunks of the FTCK checkpoint container):
+// Entry encoding (little-endian), the payload of the MODL and OPTM chunks of
+// the FTCK checkpoint container — the one on-disk form of a state dict:
 //   u64 entry_count |
 //   per entry: u32 name_len, bytes name, u32 rank, i64 dims..., f32 data...
-//
-// The file-level format prepends magic "FTPM" u32 | u32 version. Files are
-// written through AtomicFileWriter (write temp, fsync, rename), so a crash
-// mid-save never leaves a torn state dict under the final name.
 //
 // Float payloads are raw IEEE-754 bytes: a round trip is bit-exact, which the
 // exact-resume guarantee (DESIGN.md §10) depends on.
@@ -26,14 +22,6 @@ class ByteWriter;
 class ByteReader;
 
 using StateDict = std::map<std::string, Tensor>;
-
-/// Writes a state dict to `path` atomically; throws std::runtime_error
-/// (CheckpointError) on IO failure.
-void save_state_dict(const StateDict& state, const std::string& path);
-
-/// Reads a state dict from `path`; throws std::runtime_error on IO/format
-/// failure.
-StateDict load_state_dict(const std::string& path);
 
 /// Appends the headerless entry encoding of `state` to `out`.
 void encode_state_dict(const StateDict& state, ByteWriter& out);

@@ -72,7 +72,7 @@ constexpr int kWindowRequests = 12;
 /// ring the checksums. Canaries, escalation and repair stay out of the way,
 /// so the window holds one success per batch plus whatever the server
 /// records for the detections.
-ServerStats run_detection_window_once(bool detection_fails_window) {
+ServerStats run_detection_window_once() {
   const auto model = make_model();
   ManualServeClock clock(1'000'000);
   ServerConfig cfg = abft_server_config(clock);
@@ -83,7 +83,6 @@ ServerStats run_detection_window_once(bool detection_fails_window) {
   cfg.health.window = 64;
   cfg.health.max_scrub_retries = 1000;
   cfg.health.repair_on_quarantine = false;
-  cfg.health.detection_fails_window = detection_fails_window;
   InferenceServer server(*model, cfg);
   std::vector<std::future<InferenceResult>> futures;
   for (int i = 0; i < kWindowRequests; ++i) {
@@ -97,44 +96,31 @@ ServerStats run_detection_window_once(bool detection_fails_window) {
 }
 
 TEST(AbftHealthMonitor, DetectionsDepressTheWindowAndAreCounted) {
-  ASSERT_TRUE(HealthConfig{}.detection_fails_window);
-  const ServerStats stats = run_detection_window_once(/*detection_fails_window=*/true);
+  const ServerStats stats = run_detection_window_once();
   ASSERT_EQ(stats.batches, kWindowRequests);
   ASSERT_GT(stats.abft_detections, 0);
   EXPECT_GE(stats.abft_flagged_tiles, stats.abft_detections);
   // Each detected batch adds one failure outcome next to its success.
-  EXPECT_EQ(stats.per_replica_window_size[0], kWindowRequests + stats.abft_detections);
-  EXPECT_DOUBLE_EQ(stats.per_replica_health[0],
+  EXPECT_EQ(stats.replicas[0].window_size, kWindowRequests + stats.abft_detections);
+  EXPECT_DOUBLE_EQ(stats.replicas[0].health,
                    static_cast<double>(kWindowRequests) /
                        static_cast<double>(kWindowRequests + stats.abft_detections));
 }
 
-TEST(AbftHealthMonitor, WindowCouplingCanBeDisabled) {
-  const ServerStats stats = run_detection_window_once(/*detection_fails_window=*/false);
-  // Detections are tallied but the score never moves — escalation is then
-  // the only path from detections to quarantine.
-  ASSERT_GT(stats.abft_detections, 0);
-  EXPECT_EQ(stats.per_replica_window_size[0], kWindowRequests);
-  EXPECT_DOUBLE_EQ(stats.per_replica_health[0], 1.0);
-  EXPECT_EQ(stats.per_replica_state[0], ReplicaHealth::kHealthy);
-  EXPECT_EQ(stats.quarantines, 0);
-}
-
 TEST(AbftHealthMonitor, ForcedQuarantineIsStickyUntilRepair) {
-  HealthMonitor mon(1, tight_health());
-  mon.force_quarantine(0);
-  EXPECT_EQ(mon.state(0), ReplicaHealth::kQuarantined);
-  EXPECT_TRUE(mon.snapshot()[0].forced);
-  // A perfect window cannot lift a forced quarantine...
-  mon.record(0, true, 8);
-  EXPECT_DOUBLE_EQ(mon.score(0), 1.0);
-  EXPECT_EQ(mon.state(0), ReplicaHealth::kQuarantined);
+  const HealthConfig cfg = tight_health();
+  ReplicaRecord rec(cfg.window);
+  rec.pinned = true;
+  EXPECT_EQ(health_state(rec, cfg), ReplicaHealth::kQuarantined);
+  // A perfect window cannot lift a pinned quarantine...
+  for (int i = 0; i < 8; ++i) rec.window.record(true);
+  EXPECT_DOUBLE_EQ(rec.window.success_rate(), 1.0);
+  EXPECT_EQ(health_state(rec, cfg), ReplicaHealth::kQuarantined);
   // ...only the repair path can.
-  mon.mark_repaired(0);
-  EXPECT_EQ(mon.state(0), ReplicaHealth::kHealthy);
-  const auto snap = mon.snapshot();
-  EXPECT_FALSE(snap[0].forced);
-  EXPECT_EQ(snap[0].repairs, 1);
+  rec.mark_repaired();
+  EXPECT_FALSE(rec.pinned);
+  EXPECT_EQ(health_state(rec, cfg), ReplicaHealth::kHealthy);
+  EXPECT_EQ(rec.repairs, 1);
 }
 
 // --- Transient upset: detect -> scrub -> heal, no repair ---------------------
@@ -234,6 +220,20 @@ TEST(AbftServe, TransientLifecycleIsBitReproducible) {
   EXPECT_EQ(a.stats.health_line(), b.stats.health_line());
 }
 
+TEST(AbftServe, TransientRunMatchesRecordedGoldenLines) {
+  // Recorded from the build before the replica record had one owner.
+  const ServerStats s = run_transient_once().stats;
+  EXPECT_EQ(s.summary_line(),
+            "served 8/8 (rejected 0=full:0+stop:0, failed 0, retried 0, expired 0) | "
+            "batches 8 (fill 1.00) | queue 0 | p50 0.000ms p95 0.000ms p99 0.000ms");
+  EXPECT_EQ(s.health_line(),
+            "canary 8 batches (0 misses) | abft 1 hits (1 tiles) scrubs 1 (1 tiles) "
+            "refresh 0 esc 0 | quarantines 0 repairs 0 | aged_cells 0 | "
+            "[0]=healthy:1.00 win=8/8 can=0/1");
+  EXPECT_EQ(s.poisoned + s.worker_exceptions + s.in_flight, 0);
+  EXPECT_EQ(s.replicas, (std::vector<ReplicaStats>{{.served = 8, .window_size = 8}}));
+}
+
 // --- Persistent damage: scrub retries exhausted -> quarantine -> repair ------
 
 ServerStats run_escalation_once(int num_requests, int max_scrub_retries) {
@@ -247,8 +247,8 @@ ServerStats run_escalation_once(int num_requests, int max_scrub_retries) {
   cfg.aging.p_new_per_interval = 0.2;
   cfg.aging.interval_batches = 1;
   cfg.aging.seed = 404;
-  cfg.health.canary_every_batches = 0;       // isolate the ABFT path
-  cfg.health.detection_fails_window = false;  // escalation is the only route
+  cfg.health.canary_every_batches = 0;  // isolate the ABFT path
+  cfg.health.quarantine_below = 0.0;     // no score is below 0: escalation is the only route
   cfg.health.max_scrub_retries = max_scrub_retries;
   cfg.health.repair_on_quarantine = true;
   InferenceServer server(*model, cfg);
@@ -276,8 +276,8 @@ TEST(ScrubServe, PersistentDamageEscalatesThroughRetriesToRepair) {
   EXPECT_GE(stats.abft_scrubs, 2);
   EXPECT_GT(stats.abft_scrubbed_tiles, 0);
   EXPECT_GE(stats.abft_escalations, 1);
-  // With canaries off and window coupling disabled, every quarantine (and so
-  // every repair) was ABFT-escalated.
+  // With canaries off and no score below quarantine_below, every quarantine
+  // (and so every repair) was ABFT-escalated.
   EXPECT_EQ(stats.quarantines, stats.abft_escalations);
   EXPECT_EQ(stats.repairs, stats.abft_escalations);
 }
@@ -294,6 +294,20 @@ TEST(ScrubServe, EscalationLifecycleIsBitReproducible) {
   EXPECT_EQ(a.repairs, b.repairs);
   EXPECT_EQ(a.summary_line(), b.summary_line());
   EXPECT_EQ(a.health_line(), b.health_line());
+}
+
+TEST(ScrubServe, EscalationRunMatchesRecordedGoldenLines) {
+  // Recorded from the build before the replica record had one owner.
+  const ServerStats s = run_escalation_once(20, /*max_scrub_retries=*/2);
+  EXPECT_EQ(s.summary_line(),
+            "served 20/20 (rejected 0=full:0+stop:0, failed 0, retried 0, expired 0) | "
+            "batches 20 (fill 1.00) | queue 0 | p50 0.000ms p95 0.000ms p99 0.000ms");
+  EXPECT_EQ(s.health_line(),
+            "canary 0 batches (0 misses) | abft 15 hits (60 tiles) scrubs 10 (40 tiles) "
+            "refresh 0 esc 5 | quarantines 5 repairs 5 | aged_cells 23353 | "
+            "[0]=healthy:1.00 win=0/64");
+  EXPECT_EQ(s.poisoned + s.worker_exceptions + s.in_flight, 0);
+  EXPECT_EQ(s.replicas, (std::vector<ReplicaStats>{{.served = 20, .repairs = 5}}));
 }
 
 TEST(ScrubServe, ZeroRetriesEscalatesEveryDetectionWithoutScrubbing) {

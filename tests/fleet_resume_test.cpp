@@ -206,6 +206,42 @@ TEST(FleetResume, ResumeAfterSteppingIsAContractViolation) {
   EXPECT_THROW(late.resume(cfg.checkpoint_path), ContractViolation);
 }
 
+TEST(FleetResume, DeviceRecordLayoutSkewIsRefused) {
+  const auto model = fleet_model();
+  FleetConfig cfg = resume_fleet();
+  const std::string dir = testing::scratch_dir("layout").string();
+  cfg.checkpoint_path = dir + "/sweep.ftck";
+  {
+    FleetSimulator doomed(*model, cfg);
+    doomed.step();
+    doomed.step();
+  }
+  // Re-seal the file with only FLDV's leading layout word changed: every
+  // CRC is valid, so the refusal has to come from the layout check.
+  const CheckpointReader original(cfg.checkpoint_path);
+  CheckpointWriter skewed;
+  for (const CheckpointChunk& chunk : original.chunks()) {
+    std::vector<std::uint8_t> payload = chunk.payload;
+    if (chunk.tag == "FLDV") {
+      ASSERT_GE(payload.size(), std::size_t{4});
+      payload[0] ^= 0x02;  // low byte of the little-endian layout word
+    }
+    skewed.add_chunk(chunk.tag, std::move(payload));
+  }
+  const std::string path = dir + "/skewed.ftck";
+  skewed.write(path);
+
+  FleetSimulator victim(*model, cfg);
+  try {
+    victim.resume(path);
+    FAIL() << "a device record layout skew must not resume";
+  } catch (const CheckpointError& err) {
+    EXPECT_EQ(err.kind(), CheckpointErrorKind::kVersionSkew);
+    EXPECT_EQ(err.chunk(), "FLDV");
+    EXPECT_NE(std::string(err.what()).find("layout"), std::string::npos) << err.what();
+  }
+}
+
 TEST(FleetResume, TruncatedCheckpointIsRefused) {
   const auto model = fleet_model();
   FleetConfig cfg = resume_fleet();

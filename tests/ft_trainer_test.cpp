@@ -2,6 +2,7 @@
 
 #include <memory>
 
+#include "src/common/check.hpp"
 #include "src/core/evaluator.hpp"
 #include "src/core/ft_trainer.hpp"
 #include "src/data/synthetic.hpp"
@@ -58,6 +59,14 @@ TEST(FtTrainer, Validation) {
   wrong_end.scheme = FtScheme::kProgressive;
   wrong_end.progressive_levels = {0.01, 0.05};
   EXPECT_THROW(FaultTolerantTrainer(*model, *train, wrong_end), std::invalid_argument);
+}
+
+TEST(FtTrainer, NegativeEpochsAreAContractViolation) {
+  const auto train = tiny_vision(1);
+  auto model = tiny_model(1);
+  FtTrainConfig negative = fast_ft(0.05);
+  negative.base.epochs = -1;
+  EXPECT_THROW(FaultTolerantTrainer(*model, *train, negative), ContractViolation);
 }
 
 TEST(FtTrainer, OneShotUsesSingleStage) {

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
+#include "src/common/checkpoint.hpp"
 #include "src/core/evaluator.hpp"
 #include "src/core/ft_trainer.hpp"
 #include "src/core/stability.hpp"
@@ -14,6 +16,7 @@
 #include "src/models/resnet.hpp"
 #include "src/prune/magnitude_pruner.hpp"
 #include "src/prune/sparsity.hpp"
+#include "src/tensor/serialize.hpp"
 #include "test_util.hpp"
 
 namespace ftpim {
@@ -125,14 +128,13 @@ TEST(Integration, PruneThenHardenPreservesMasksAndRobustness) {
 TEST(Integration, CheckpointRoundTripPreservesBehaviour) {
   Pipeline p;
   Trainer(*p.model, *p.train, p.tc).run();
-  const std::string path = ::testing::TempDir() + "/ftpim_integration_ckpt.bin";
-  save_state_dict(state_dict_of(*p.model), path);
+  const std::vector<std::uint8_t> bytes = encode_state_dict(state_dict_of(*p.model));
+  ByteReader in(bytes, "model");
 
   auto restored = make_resnet(ResNetConfig{.depth = 8, .classes = 4, .base_width = 4, .seed = 2});
-  load_state_dict_into(*restored, load_state_dict(path));
+  load_state_dict_into(*restored, decode_state_dict(in));
   EXPECT_DOUBLE_EQ(evaluate_accuracy(*restored, *p.test),
                    evaluate_accuracy(*p.model, *p.test));
-  std::remove(path.c_str());
 }
 
 }  // namespace

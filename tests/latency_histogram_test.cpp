@@ -1,10 +1,8 @@
-// summarize/quantile, LatencyHistogram and the float/duration
-// summarize/quantile shims.
+// summarize/quantile and LatencyHistogram.
 #include "src/common/stats.hpp"
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cmath>
 #include <vector>
 
@@ -153,29 +151,6 @@ TEST(LatencyHistogram, MergeMatchesRecordingEverythingInOne) {
   for (int i = 0; i < 400; ++i)
     single.record(static_cast<std::int64_t>(rng_b.uniform_int(std::uint64_t{1} << 40)));
   expect_identical(merged, single);
-}
-
-TEST(StatsShims, FloatAndIntVectorsWork) {
-  const std::vector<float> f{1.0f, 2.0f, 3.0f, 4.0f};
-  const Summary s = summarize(f);
-  EXPECT_DOUBLE_EQ(s.mean, 2.5);
-  EXPECT_EQ(s.count, std::size_t{4});
-  EXPECT_DOUBLE_EQ(quantile(f, 1.0), 4.0);
-
-  const std::vector<int> ints{5, 1, 3};
-  EXPECT_DOUBLE_EQ(quantile(ints, 0.5), 3.0);
-}
-
-TEST(StatsShims, DurationsConvertToSeconds) {
-  using namespace std::chrono_literals;
-  const std::vector<std::chrono::milliseconds> lat{10ms, 20ms, 30ms};
-  const Summary s = summarize(lat);
-  EXPECT_DOUBLE_EQ(s.mean, 0.020);
-  EXPECT_DOUBLE_EQ(s.max, 0.030);
-  EXPECT_DOUBLE_EQ(quantile(lat, 0.0), 0.010);
-
-  const std::vector<std::chrono::nanoseconds> ns{std::chrono::nanoseconds{1'500'000}};
-  EXPECT_DOUBLE_EQ(quantile(ns, 0.5), 0.0015);
 }
 
 }  // namespace

@@ -1,14 +1,17 @@
-// Self-healing serving: OutcomeWindow, HealthMonitor state machine, canary
-// scoring, deadline/retry/failover semantics, poisoned-batchmate isolation,
-// and the deterministic degrade->quarantine->repair loop.
+// Self-healing serving: OutcomeWindow, the replica record and its health
+// rule, canary scoring, deadline/retry/failover semantics, poisoned-batchmate
+// isolation, the deterministic degrade->quarantine->repair loop, and stats
+// read while maintenance runs.
 // Suite names start with Serve* so scripts/ci.sh's TSan leg picks them up.
 #include "src/serve/health_monitor.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <future>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/common/check.hpp"
@@ -155,7 +158,7 @@ TEST(ServeHealthWindow, CodecRejectsInconsistentFraming) {
   expect_bad(3, 0, 1, {1, 1, 0});          // stale slots claim successes > size
 }
 
-// --- HealthMonitor -----------------------------------------------------------
+// --- Replica record and the health rule ------------------------------------
 
 HealthConfig tight_health() {
   HealthConfig h;
@@ -166,54 +169,73 @@ HealthConfig tight_health() {
   return h;
 }
 
+void record_n(ReplicaRecord& rec, bool success, int count) {
+  for (int i = 0; i < count; ++i) rec.window.record(success);
+}
+
 TEST(ServeHealthMonitor, MinSamplesGateKeepsFreshReplicasHealthy) {
-  HealthMonitor mon(2, tight_health());
+  const HealthConfig cfg = tight_health();
+  ReplicaRecord rec(cfg.window);
   // Three straight failures — still below the evidence bar.
-  mon.record(0, false, 3);
-  EXPECT_EQ(mon.state(0), ReplicaHealth::kHealthy);
-  EXPECT_DOUBLE_EQ(mon.score(0), 0.0);
+  record_n(rec, false, 3);
+  EXPECT_EQ(health_state(rec, cfg), ReplicaHealth::kHealthy);
+  EXPECT_DOUBLE_EQ(rec.window.success_rate(), 0.0);
   // Fourth failure crosses min_samples: now the score counts.
-  mon.record(0, false);
-  EXPECT_EQ(mon.state(0), ReplicaHealth::kQuarantined);
-  // Replica 1 never recorded anything — independent and healthy.
-  EXPECT_EQ(mon.state(1), ReplicaHealth::kHealthy);
+  rec.window.record(false);
+  EXPECT_EQ(health_state(rec, cfg), ReplicaHealth::kQuarantined);
+  // A record that never saw an outcome is healthy.
+  EXPECT_EQ(health_state(ReplicaRecord(cfg.window), cfg), ReplicaHealth::kHealthy);
 }
 
 TEST(ServeHealthMonitor, ThresholdsMapScoreToStates) {
-  HealthMonitor mon(1, tight_health());
+  const HealthConfig cfg = tight_health();
+  ReplicaRecord rec(cfg.window);
   // 7/8 = 0.875: below suspect_below, above quarantine_below.
-  mon.record(0, true, 7);
-  mon.record(0, false, 1);
-  EXPECT_EQ(mon.state(0), ReplicaHealth::kSuspect);
+  record_n(rec, true, 7);
+  record_n(rec, false, 1);
+  EXPECT_EQ(health_state(rec, cfg), ReplicaHealth::kSuspect);
   // Slide to 4/8 = 0.5 < 0.6: quarantined.
-  mon.record(0, false, 3);
-  EXPECT_EQ(mon.state(0), ReplicaHealth::kQuarantined);
-  EXPECT_STREQ(to_string(mon.state(0)), "quarantined");
+  record_n(rec, false, 3);
+  EXPECT_EQ(health_state(rec, cfg), ReplicaHealth::kQuarantined);
+  EXPECT_STREQ(to_string(health_state(rec, cfg)), "quarantined");
 }
 
 TEST(ServeHealthMonitor, RepairResetsWindowAndCountsRepairs) {
-  HealthMonitor mon(1, tight_health());
-  mon.record(0, false, 8);
-  ASSERT_EQ(mon.state(0), ReplicaHealth::kQuarantined);
-  mon.mark_repaired(0);
-  EXPECT_EQ(mon.state(0), ReplicaHealth::kHealthy);
-  EXPECT_DOUBLE_EQ(mon.score(0), 1.0);
-  const auto snap = mon.snapshot();
-  ASSERT_EQ(snap.size(), std::size_t{1});
-  EXPECT_EQ(snap[0].repairs, 1);
-  EXPECT_EQ(snap[0].state, ReplicaHealth::kHealthy);
+  const HealthConfig cfg = tight_health();
+  ReplicaRecord rec(cfg.window);
+  record_n(rec, false, 8);
+  rec.batches_since_repair = 9;
+  rec.batches_since_canary = 2;
+  rec.batches_since_scrub = 3;
+  rec.consecutive_detections = 4;
+  rec.last_state = ReplicaHealth::kQuarantined;
+  ASSERT_EQ(health_state(rec, cfg), ReplicaHealth::kQuarantined);
+  rec.mark_repaired();
+  EXPECT_EQ(health_state(rec, cfg), ReplicaHealth::kHealthy);
+  EXPECT_EQ(rec.window.size(), 0);
+  EXPECT_DOUBLE_EQ(rec.window.success_rate(), 1.0);
+  EXPECT_EQ(rec.repairs, 1);
+  // The new die starts its aging clock, countdowns and streak from zero.
+  EXPECT_EQ(rec.batches_since_repair, 0);
+  EXPECT_EQ(rec.batches_since_canary, 0);
+  EXPECT_EQ(rec.batches_since_scrub, 0);
+  EXPECT_EQ(rec.consecutive_detections, 0);
+  EXPECT_EQ(rec.last_state, ReplicaHealth::kHealthy);
 }
 
 TEST(ServeHealthMonitor, ValidatesConfigAndBounds) {
   HealthConfig bad = tight_health();
   bad.quarantine_below = 0.99;  // above suspect_below
-  EXPECT_THROW(HealthMonitor(1, bad), ContractViolation);
+  EXPECT_THROW(bad.validate(), ContractViolation);
   HealthConfig bad2 = tight_health();
   bad2.min_samples = 100;  // exceeds window
-  EXPECT_THROW(HealthMonitor(1, bad2), ContractViolation);
-  HealthMonitor mon(2, tight_health());
-  EXPECT_THROW(mon.record(2, true), ContractViolation);
-  EXPECT_THROW((void)mon.score(-1), ContractViolation);
+  EXPECT_THROW(bad2.validate(), ContractViolation);
+  EXPECT_NO_THROW(tight_health().validate());
+  // The server validates its health config before any worker starts.
+  const auto model = make_model();
+  ServerConfig cfg;
+  cfg.health = bad2;
+  EXPECT_THROW(InferenceServer(*model, cfg), ContractViolation);
 }
 
 // --- Canary set --------------------------------------------------------------
@@ -289,14 +311,14 @@ TEST(ServeHealthServer, RetryFailsOverToHealthyReplica) {
   const ServerStats stats = server.stats();
   EXPECT_EQ(stats.served, kRequests);
   EXPECT_EQ(stats.failed, 0);
-  EXPECT_EQ(stats.per_replica_served[0], 0);
-  EXPECT_EQ(stats.per_replica_served[1], kRequests);
+  EXPECT_EQ(stats.replicas[0].served, 0);
+  EXPECT_EQ(stats.replicas[1].served, kRequests);
   EXPECT_GT(stats.retried, 0);
   // Every throwing forward pass was recorded, none swallowed silently.
   EXPECT_GT(stats.worker_exceptions, 0);
   // Replica 0's health window saw its batch failures.
-  EXPECT_LT(stats.per_replica_health[0], 1.0);
-  EXPECT_DOUBLE_EQ(stats.per_replica_health[1], 1.0);
+  EXPECT_LT(stats.replicas[0].health, 1.0);
+  EXPECT_DOUBLE_EQ(stats.replicas[1].health, 1.0);
 }
 
 TEST(ServeHealthServer, ExhaustedWhenNoAlternativeReplica) {
@@ -477,17 +499,15 @@ TEST(ServeHealthServer, DeterministicDegradationQuarantineRepairLoop) {
   EXPECT_GT(a.stats.canary_failures, 0);
   EXPECT_GE(a.stats.quarantines, 1);
   EXPECT_GE(a.stats.repairs, 1);
-  ASSERT_EQ(a.stats.per_replica_repairs.size(), std::size_t{1});
-  EXPECT_EQ(static_cast<std::int64_t>(a.stats.per_replica_repairs[0]), a.stats.repairs);
+  ASSERT_EQ(a.stats.replicas.size(), std::size_t{1});
+  EXPECT_EQ(static_cast<std::int64_t>(a.stats.replicas[0].repairs), a.stats.repairs);
   // The observability gauges reflect the config: window capacity, per-replica
   // window fill, and the canary cadence all surface in the snapshot.
   EXPECT_EQ(a.stats.health_window_capacity, 8);
-  ASSERT_EQ(a.stats.per_replica_window_size.size(), std::size_t{1});
   // A repair on the final batch legitimately resets the window to empty, so
   // only the capacity bound is invariant here.
-  EXPECT_LE(a.stats.per_replica_window_size[0], 8);
+  EXPECT_LE(a.stats.replicas[0].window_size, 8);
   EXPECT_EQ(a.stats.canary_every_batches, 1);
-  ASSERT_EQ(a.stats.per_replica_canary_progress.size(), std::size_t{1});
 
   // Bit-identical across runs: predictions, every counter, the latency
   // histogram, and the rendered summary/health lines.
@@ -497,10 +517,90 @@ TEST(ServeHealthServer, DeterministicDegradationQuarantineRepairLoop) {
   EXPECT_EQ(a.stats.quarantines, b.stats.quarantines);
   EXPECT_EQ(a.stats.repairs, b.stats.repairs);
   EXPECT_EQ(a.stats.batches, b.stats.batches);
-  EXPECT_EQ(a.stats.per_replica_health, b.stats.per_replica_health);
+  EXPECT_EQ(a.stats.replicas, b.stats.replicas);
   EXPECT_EQ(a.stats.latency.bin_counts(), b.stats.latency.bin_counts());
   EXPECT_EQ(a.stats.summary_line(), b.stats.summary_line());
   EXPECT_EQ(a.stats.health_line(), b.stats.health_line());
+}
+
+TEST(ServeHealthServer, DegradationRunMatchesRecordedGoldenLines) {
+  // Recorded from the build before the replica record had one owner: a
+  // refactor that changes both runs of the test above the same way still
+  // has to reproduce these exact counters and lines.
+  const DegradationRun run = run_degradation_once(40);
+  const ServerStats& s = run.stats;
+  EXPECT_EQ(s.summary_line(),
+            "served 40/40 (rejected 0=full:0+stop:0, failed 0, retried 0, expired 0) | "
+            "batches 40 (fill 1.00) | queue 0 | p50 0.000ms p95 0.000ms p99 0.000ms");
+  EXPECT_EQ(s.health_line(),
+            "canary 40 batches (111 misses) | abft 0 hits (0 tiles) scrubs 0 (0 tiles) "
+            "refresh 0 esc 0 | quarantines 27 repairs 27 | aged_cells 58532 | "
+            "[0]=healthy:1.00 win=0/8 can=0/1");
+  EXPECT_EQ(s.poisoned + s.worker_exceptions + s.in_flight, 0);
+  EXPECT_EQ(s.replicas, (std::vector<ReplicaStats>{{.served = 40, .repairs = 27}}));
+}
+
+TEST(ServeHealthServer, StatsReadsDuringMaintenanceNeverGoBackwards) {
+  // Three quantized workers with aging, canaries, periodic refresh and ABFT
+  // on, while a reader thread polls stats() and health_line(): no counter in
+  // the snapshot ever shrinks, and the final snapshot accounts for every
+  // request. TSan runs this through the Serve* subset.
+  const auto model = make_model();
+  ServerConfig cfg;
+  cfg.batching.max_batch_size = 4;
+  cfg.batching.max_linger_ns = 0;
+  cfg.pool.num_replicas = 3;
+  cfg.pool.p_sa = 0.01;
+  cfg.pool.engine = ReplicaEngine::kQuantized;
+  cfg.pool.quantized.abft.enabled = true;
+  cfg.aging.p_new_per_interval = 0.01;
+  cfg.aging.interval_batches = 2;
+  cfg.health = tight_health();
+  cfg.health.canary_every_batches = 2;
+  cfg.health.max_scrub_retries = 1;
+  cfg.health.scrub_policy = ScrubPolicy::kPeriodic;
+  cfg.health.scrub_every_batches = 3;
+  InferenceServer server(*model, cfg);
+  server.start();
+
+  const auto counters = [](const ServerStats& s) {
+    std::vector<std::int64_t> c = {s.submitted, s.served, s.failed, s.retried, s.batches,
+                                   s.canary_batches, s.canary_failures, s.quarantines, s.repairs,
+                                   s.aged_cells, s.abft_detections, s.abft_flagged_tiles,
+                                   s.abft_scrubs, s.abft_scrubbed_tiles, s.abft_escalations,
+                                   s.periodic_refreshes, s.worker_exceptions};
+    for (const ReplicaStats& r : s.replicas) c.insert(c.end(), {r.served, r.repairs});
+    return c;
+  };
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    std::vector<std::int64_t> last = counters(server.stats());
+    do {
+      const ServerStats s = server.stats();
+      EXPECT_EQ(s.health_line().rfind("canary ", 0), std::size_t{0});
+      const std::vector<std::int64_t> now = counters(s);
+      for (std::size_t i = 0; i < now.size(); ++i) EXPECT_GE(now[i], last[i]) << "counter " << i;
+      last = now;
+    } while (!done.load(std::memory_order_acquire));
+  });
+
+  constexpr int kRequests = 96;
+  std::vector<std::future<InferenceResult>> futures;
+  for (int i = 0; i < kRequests; ++i) {
+    futures.push_back(server.submit(make_input(900 + static_cast<std::uint64_t>(i))));
+  }
+  server.drain();
+  done.store(true, std::memory_order_release);
+  reader.join();
+  server.stop();
+  for (auto& f : futures) (void)f.get();
+
+  const ServerStats s = server.stats();
+  EXPECT_EQ(s.submitted, kRequests);
+  EXPECT_EQ(s.submitted, s.served + s.failed);
+  EXPECT_EQ(s.in_flight, 0);
+  EXPECT_GT(s.canary_batches, 0);
+  EXPECT_GT(s.periodic_refreshes, 0);
 }
 
 // --- ServeError taxonomy -----------------------------------------------------
@@ -523,9 +623,7 @@ TEST(ServeHealthStats, SummaryAndHealthLinesRenderBreakdown) {
   s.rejected_queue_full = 1;
   s.rejected_stopped = 2;
   s.served = 4;
-  s.per_replica_health = {0.5};
-  s.per_replica_state = {ReplicaHealth::kSuspect};
-  s.per_replica_repairs = {2};
+  s.replicas = {ReplicaStats{.health = 0.5, .state = ReplicaHealth::kSuspect, .repairs = 2}};
   s.quarantines = 1;
   s.repairs = 2;
   EXPECT_EQ(s.rejected(), 3);
@@ -538,11 +636,8 @@ TEST(ServeHealthStats, SummaryAndHealthLinesRenderBreakdown) {
 
 TEST(ServeHealthStats, HealthLineShowsAbftWindowAndCanaryGauges) {
   ServerStats s;
-  s.per_replica_health = {0.88};
-  s.per_replica_state = {ReplicaHealth::kHealthy};
-  s.per_replica_window_size = {5};
+  s.replicas = {ReplicaStats{.health = 0.88, .window_size = 5, .canary_progress = 3}};
   s.health_window_capacity = 8;
-  s.per_replica_canary_progress = {3};
   s.canary_every_batches = 4;
   s.abft_detections = 2;
   s.abft_flagged_tiles = 7;
@@ -585,8 +680,8 @@ TEST(ServeHealthStats, HealthLineExactFormatIsPinned) {
   s.quarantines = 6;
   s.repairs = 7;
   s.aged_cells = 42;
-  s.per_replica_state = {ReplicaHealth::kHealthy, ReplicaHealth::kQuarantined};
-  s.per_replica_health = {1.0, 0.25};
+  s.replicas = {ReplicaStats{.health = 1.0},
+                ReplicaStats{.health = 0.25, .state = ReplicaHealth::kQuarantined}};
   const std::string line = s.health_line();
   EXPECT_EQ(line,
             "canary 3 batches (1 misses) | abft 4 hits (9 tiles) scrubs 2 (5 tiles) "

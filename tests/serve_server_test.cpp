@@ -185,11 +185,10 @@ TEST(ServeServer, DeterministicSingleWorkerBitIdenticalRuns) {
   EXPECT_EQ(a.stats.repairs, 0);
   EXPECT_EQ(a.stats.aged_cells, 0);
   EXPECT_EQ(a.stats.retried, b.stats.retried);
-  EXPECT_EQ(a.stats.per_replica_health, b.stats.per_replica_health);
+  EXPECT_EQ(a.stats.replicas, b.stats.replicas);
   EXPECT_EQ(a.stats.summary_line(), b.stats.summary_line());
   EXPECT_EQ(a.stats.health_line(), b.stats.health_line());
   EXPECT_EQ(a.stats.batches, b.stats.batches);
-  EXPECT_EQ(a.stats.per_replica_served, b.stats.per_replica_served);
   EXPECT_EQ(a.stats.latency.count(), b.stats.latency.count());
   EXPECT_EQ(a.stats.latency.bin_counts(), b.stats.latency.bin_counts());
   EXPECT_EQ(a.stats.latency.p99_ns(), b.stats.latency.p99_ns());
@@ -274,7 +273,7 @@ TEST(ServeServer, StressMultiClientMultiWorkerDrainLosesNothing) {
   EXPECT_EQ(stats.queue_depth, std::size_t{0});
   EXPECT_EQ(stats.latency.count(), kTotal);
   std::int64_t by_replica = 0;
-  for (const std::int64_t n : stats.per_replica_served) by_replica += n;
+  for (const ReplicaStats& r : stats.replicas) by_replica += r.served;
   EXPECT_EQ(by_replica, kTotal);
   EXPECT_GE(stats.batches, kTotal / cfg.batching.max_batch_size);
 }

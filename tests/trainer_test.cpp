@@ -2,6 +2,7 @@
 
 #include <memory>
 
+#include "src/common/check.hpp"
 #include "src/core/evaluator.hpp"
 #include "src/core/trainer.hpp"
 #include "src/data/synthetic.hpp"
@@ -51,6 +52,15 @@ TEST(Trainer, TrainedModelBeatsChance) {
   EXPECT_GT(evaluate_accuracy(*net, *test), 0.55);  // chance = 0.33
 }
 
+TEST(Trainer, NegativeEpochsAreAContractViolation) {
+  const auto train = tiny_vision(1);
+  auto net = make_small_cnn(
+      SmallCnnConfig{.image_size = 8, .width = 2, .classes = 3, .seed = 1});
+  EXPECT_THROW(Trainer(*net, *train, fast_config(-1)), ContractViolation);
+  // Zero epochs is a legal no-op schedule.
+  EXPECT_TRUE(Trainer(*net, *train, fast_config(0)).run().epoch_losses.empty());
+}
+
 TEST(Trainer, HooksFireInOrderAndCount) {
   const auto train = tiny_vision(4);
   auto net = make_mlp({192, 16, 3}, 3);
@@ -60,7 +70,7 @@ TEST(Trainer, HooksFireInOrderAndCount) {
       SmallCnnConfig{.image_size = 8, .width = 2, .classes = 3, .seed = 4});
   TrainConfig tc = fast_config(2);
   Trainer trainer(*cnn, *train, tc);
-  int before = 0, after_bwd = 0, after_step = 0, after_epoch = 0;
+  int before = 0, after_bwd = 0, after_epoch = 0;
   int order_violations = 0;
   TrainHooks hooks;
   hooks.before_forward = [&](int, std::int64_t) {
@@ -68,14 +78,12 @@ TEST(Trainer, HooksFireInOrderAndCount) {
     ++before;
   };
   hooks.after_backward = [&](int, std::int64_t) { ++after_bwd; };
-  hooks.after_step = [&](int, std::int64_t) { ++after_step; };
   hooks.after_epoch = [&](int, float) { ++after_epoch; };
   trainer.set_hooks(hooks);
   trainer.run();
   const int expected_iters = 2 * 3;  // 96/32 batches * 2 epochs
   EXPECT_EQ(before, expected_iters);
   EXPECT_EQ(after_bwd, expected_iters);
-  EXPECT_EQ(after_step, expected_iters);
   EXPECT_EQ(after_epoch, 2);
   EXPECT_EQ(order_violations, 0);
 }

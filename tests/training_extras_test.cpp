@@ -5,6 +5,7 @@
 
 #include <memory>
 
+#include "src/common/check.hpp"
 #include "src/core/evaluator.hpp"
 #include "src/core/trainer.hpp"
 #include "src/data/synthetic.hpp"
@@ -77,6 +78,14 @@ TEST(Evaluator, ZeroRunsGivesEmptyResult) {
   const DefectEvalResult r = evaluate_under_defects(*net, *data, 0.1, cfg);
   EXPECT_TRUE(r.run_accs.empty());
   EXPECT_DOUBLE_EQ(r.mean_acc, 0.0);
+}
+
+TEST(Evaluator, NegativeRunsAreAContractViolation) {
+  const auto data = vision(6, 16);
+  auto net = make_small_cnn(SmallCnnConfig{.image_size = 8, .width = 2, .classes = 3, .seed = 8});
+  DefectEvalConfig cfg;
+  cfg.num_runs = -1;
+  EXPECT_THROW((void)evaluate_under_defects(*net, *data, 0.1, cfg), ContractViolation);
 }
 
 TEST(Evaluator, BatchSizeDoesNotChangeAccuracy) {

@@ -35,11 +35,12 @@ statistics reproducible (see DESIGN.md "Invariants & determinism rules"):
                         dispatch (FTPIM_KERNEL) so every algorithm keeps a
                         portable scalar path and the scalar/AVX2 pair stays
                         testable against each other.
-  test-temp-path        std::filesystem::temp_directory_path() is banned in
-                        tests/ outside tests/test_util.hpp — ctest runs every
-                        test as its own process, so a fixed temp path is
-                        shared by concurrent tests; take a private directory
-                        from testing::scratch_dir() instead.
+  test-temp-path        std::filesystem::temp_directory_path() and gtest's
+                        ::testing::TempDir() are banned in tests/ outside
+                        tests/test_util.hpp — ctest runs every test as its
+                        own process, so a fixed temp path is shared by
+                        concurrent tests; take a private directory from
+                        testing::scratch_dir() instead.
 
 Usage:
   ftpim_lint.py --root <repo>      lint the tree (exit 1 on any finding)
@@ -174,7 +175,7 @@ RULES = [
     ),
     Rule(
         name="test-temp-path",
-        pattern=re.compile(r"\btemp_directory_path\b"),
+        pattern=re.compile(r"\btemp_directory_path\b|\bTempDir\s*\("),
         message="shared temp path in a test; ctest -j runs tests as concurrent "
         "processes — use testing::scratch_dir() (tests/test_util.hpp), which "
         "is private to the test",
@@ -231,26 +232,33 @@ def lint_tree(root: str) -> list[Finding]:
 def self_test(fixture_root: str) -> int:
     """The linter must flag every seeded violation and keep the good file clean."""
     findings = lint_tree(fixture_root)
-    by_file: dict[str, set[str]] = {}
+    by_file: dict[str, dict[str, int]] = {}
     for f in findings:
-        by_file.setdefault(f.path, set()).add(f.rule)
+        rules = by_file.setdefault(f.path, {})
+        rules[f.rule] = rules.get(f.rule, 0) + 1
 
+    # path -> {rule: lines it must flag at least}
     expected = {
-        "src/bad/determinism_violations.cpp": {"rng-source", "raw-stdout"},
-        "src/bad/bad_contract.hpp": {"assert-in-header", PRAGMA_ONCE_RULE},
-        "src/common/serialize.cpp": {"unordered-output"},
-        "src/serve/bad_wall_clock.cpp": {"serve-wall-clock"},
-        "src/bad/raw_file_write.cpp": {"raw-file-write"},
-        "src/bad/simd_leak.cpp": {"simd-intrinsics"},
-        "tests/bad_temp_path.cpp": {"test-temp-path"},
+        "src/bad/determinism_violations.cpp": {"rng-source": 1, "raw-stdout": 1},
+        "src/bad/bad_contract.hpp": {"assert-in-header": 1, PRAGMA_ONCE_RULE: 1},
+        "src/common/serialize.cpp": {"unordered-output": 1},
+        "src/serve/bad_wall_clock.cpp": {"serve-wall-clock": 1},
+        "src/bad/raw_file_write.cpp": {"raw-file-write": 1},
+        "src/bad/simd_leak.cpp": {"simd-intrinsics": 1},
+        # temp_directory_path() and ::testing::TempDir(), one line each
+        "tests/bad_temp_path.cpp": {"test-temp-path": 2},
     }
     good = "src/good/clean_module.hpp"
 
     failures = []
     for path, rules in expected.items():
-        missing = rules - by_file.get(path, set())
-        if missing:
-            failures.append(f"expected rules {sorted(missing)} did not fire on {path}")
+        fired = by_file.get(path, {})
+        for rule, count in sorted(rules.items()):
+            if fired.get(rule, 0) < count:
+                failures.append(
+                    f"expected rule {rule} on {count} line(s) of {path}, "
+                    f"it fired on {fired.get(rule, 0)}"
+                )
     if good in by_file:
         failures.append(f"known-good fixture {good} was flagged: {sorted(by_file[good])}")
 
