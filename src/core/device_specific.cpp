@@ -31,15 +31,7 @@ TrainStats device_specific_retrain(Module& model, const Dataset& train_data,
     if (!session.injected()) return;
     // The map is known, so the retraining pins stuck weights: no gradient
     // flows into positions the device cannot realize.
-    const auto& params = session.faulted_params();
-    const auto& masks = session.hit_masks();
-    for (std::size_t k = 0; k < params.size(); ++k) {
-      float* g = params[k]->grad.data();
-      const float* hit = masks[k].data();
-      for (std::int64_t i = 0; i < params[k]->grad.numel(); ++i) {
-        if (hit[i] != 0.0f) g[i] = 0.0f;
-      }
-    }
+    session.zero_hit_gradients();
     session.restore();
   };
   trainer.set_hooks(hooks);

@@ -44,6 +44,41 @@ void validate_cursor(const TrainingCheckpoint& ckpt, std::size_t num_stages,
   if (ckpt.rate_count < 0) fail("negative fault-rate sample count");
 }
 
+/// The (last) augmentation stream a mid-stage checkpoint carries; throws
+/// kStateMismatch naming RNGS if it carries none.
+const RngState& augment_state_of(const TrainingCheckpoint& ckpt) {
+  const RngState* found = nullptr;
+  for (const auto& [name, state] : ckpt.rng_streams) {
+    if (name == kAugmentRngStream) found = &state;
+  }
+  if (found == nullptr) {
+    throw CheckpointError(CheckpointErrorKind::kStateMismatch, "RNGS",
+                          "mid-stage checkpoint lacks the '" + std::string(kAugmentRngStream) +
+                              "' stream");
+  }
+  return *found;
+}
+
+/// Refuses, before anything is written, a checkpoint whose state does not
+/// fit this run: the model state (MODL) and, mid-stage, the optimizer
+/// moments (OPTM) and the augmentation stream (RNGS) that resume restores.
+/// Each state is loaded into a stand-in for what resume writes.
+void check_state_fits(const Module& model, const SgdConfig& sgd, const TrainingCheckpoint& ckpt) {
+  const std::unique_ptr<Module> stand_in = model.clone();
+  try {
+    load_state_dict_into(*stand_in, ckpt.model);
+  } catch (const std::runtime_error& e) {
+    throw CheckpointError(CheckpointErrorKind::kStateMismatch, "MODL", e.what());
+  }
+  if (ckpt.next_epoch == 0) return;  // a stage boundary restores neither
+  try {
+    Sgd(named_parameters_of(*stand_in), sgd).load_state(ckpt.optimizer);
+  } catch (const ContractViolation& e) {
+    throw CheckpointError(CheckpointErrorKind::kStateMismatch, "OPTM", e.what());
+  }
+  (void)augment_state_of(ckpt);
+}
+
 }  // namespace
 
 std::vector<double> default_progressive_ramp(double target_p_sa) {
@@ -119,6 +154,7 @@ FtTrainStats FaultTolerantTrainer::resume(const std::string& checkpoint_path) {
                           "checkpoint stage rates disagree with this run's schedule");
   }
   validate_cursor(ckpt, stage_rates_.size(), config_.base.epochs);
+  check_state_fits(model_, config_.base.sgd, ckpt);
   if (config_.base.verbose) {
     log_info("FT resume from %s: next stage %u, next epoch %u", checkpoint_path.c_str(),
              ckpt.next_stage, ckpt.next_epoch);
@@ -195,17 +231,7 @@ FtTrainStats FaultTolerantTrainer::run_internal(const TrainingCheckpoint* restor
     };
     hooks.after_backward = [this, &session, &rate_sum, &rate_count](int, std::int64_t) {
       if (!session.injected()) return;
-      if (config_.grad_mode == GradMode::kMasked) {
-        const auto& params = session.faulted_params();
-        const auto& masks = session.hit_masks();
-        for (std::size_t k = 0; k < params.size(); ++k) {
-          float* g = params[k]->grad.data();
-          const float* hit = masks[k].data();
-          for (std::int64_t i = 0; i < params[k]->grad.numel(); ++i) {
-            if (hit[i] != 0.0f) g[i] = 0.0f;
-          }
-        }
-      }
+      if (config_.grad_mode == GradMode::kMasked) session.zero_hit_gradients();
       rate_sum += session.stats().cell_fault_rate();
       ++rate_count;
       session.restore();  // optimizer step must see clean weights
@@ -224,17 +250,9 @@ FtTrainStats FaultTolerantTrainer::run_internal(const TrainingCheckpoint* restor
       // in for the one the killed run built, so its cross-epoch mutable
       // state — momentum buffers and the augmentation RNG — must be restored.
       // At a stage boundary all three are built fresh, exactly like here.
+      // resume() checked both against this model before anything was written.
       trainer.optimizer().load_state(restore->optimizer);
-      const RngState* augment_state = nullptr;
-      for (const auto& [name, state] : restore->rng_streams) {
-        if (name == kAugmentRngStream) augment_state = &state;
-      }
-      if (augment_state == nullptr) {
-        throw CheckpointError(CheckpointErrorKind::kStateMismatch, "RNGS",
-                              "mid-stage checkpoint lacks the '" +
-                                  std::string(kAugmentRngStream) + "' stream");
-      }
-      trainer.loader().set_augment_rng_state(*augment_state);
+      trainer.loader().set_augment_rng_state(augment_state_of(*restore));
       stage_losses = restore->epoch_losses[stage];
       first_epoch = start_epoch;
     }

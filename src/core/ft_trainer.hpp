@@ -96,8 +96,8 @@ class FaultTolerantTrainer {
   /// model, optimizer moments, RNG streams, stats accumulators, and schedule
   /// cursor, then runs the remaining epochs. The final weights and stats are
   /// bit-identical to the uninterrupted run() at any FTPIM_THREADS setting.
-  /// Throws CheckpointError on a corrupt checkpoint or when the checkpoint
-  /// was produced by a differently configured run (kStateMismatch).
+  /// Throws CheckpointError, writing nothing, on a corrupt checkpoint or one
+  /// from a differently configured run or for another model (kStateMismatch).
   FtTrainStats resume(const std::string& checkpoint_path);
 
   /// The stage rate list after defaulting (exposed for tests/logs).

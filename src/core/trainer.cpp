@@ -13,7 +13,7 @@ Trainer::Trainer(Module& model, const Dataset& train_data, TrainConfig config)
       config_(config),
       loader_(train_data, config.batch_size, /*shuffle=*/true, config.seed, config.augment) {
   FTPIM_CHECK_GE(config_.epochs, 0, "TrainConfig: epochs");
-  optimizer_ = std::make_unique<Sgd>(parameters_of(model_), config_.sgd);
+  optimizer_ = std::make_unique<Sgd>(named_parameters_of(model_), config_.sgd);
 }
 
 float Trainer::run_epoch(int epoch, int total_epochs) {

@@ -24,7 +24,7 @@ std::unique_ptr<Sequential> make_resnet(const ResNetConfig& config) {
 
   Rng rng(config.seed);
   auto net = std::make_unique<Sequential>();
-  net->emplace<Conv2d>(3, w, 3, 1, 1, rng, /*with_bias=*/false);
+  net->emplace<Conv2d>(3, w, 3, 1, 1, rng);
   net->emplace<BatchNorm2d>(w);
   net->emplace<ReLU>();
 

@@ -3,16 +3,13 @@
 #include "src/common/check.hpp"
 
 #include <cmath>
-#include <vector>
 
 namespace ftpim {
 
-BatchNorm2d::BatchNorm2d(std::int64_t channels, float momentum, float eps)
+BatchNorm2d::BatchNorm2d(std::int64_t channels)
     : channels_(channels),
-      momentum_(momentum),
-      eps_(eps),
-      gamma_("gamma", Tensor(Shape{channels}, 1.0f), ParamKind::kNorm),
-      beta_("beta", Tensor(Shape{channels}, 0.0f), ParamKind::kNorm),
+      gamma_(Tensor(Shape{channels}, 1.0f), ParamKind::kNorm),
+      beta_(Tensor(Shape{channels}, 0.0f), ParamKind::kNorm),
       running_mean_(Shape{channels}, 0.0f),
       running_var_(Shape{channels}, 1.0f) {
   FTPIM_CHECK(!(channels <= 0), "BatchNorm2d: channels must be positive");
@@ -20,8 +17,6 @@ BatchNorm2d::BatchNorm2d(std::int64_t channels, float momentum, float eps)
 
 BatchNorm2d::BatchNorm2d(const BatchNorm2d& other)
     : channels_(other.channels_),
-      momentum_(other.momentum_),
-      eps_(other.eps_),
       gamma_(other.gamma_.clone_detached()),
       beta_(other.beta_.clone_detached()),
       running_mean_(other.running_mean_),
@@ -61,15 +56,15 @@ Tensor BatchNorm2d::forward(const Tensor& input, bool training) {
       }
       const double mean = sum / static_cast<double>(count);
       const double var = sq / static_cast<double>(count) - mean * mean;
-      const float inv_std = 1.0f / std::sqrt(static_cast<float>(var) + eps_);
+      const float inv_std = 1.0f / std::sqrt(static_cast<float>(var) + kEps);
       cached_inv_std_[c] = inv_std;
-      running_mean_[c] = (1.0f - momentum_) * running_mean_[c] +
-                         momentum_ * static_cast<float>(mean);
+      running_mean_[c] = (1.0f - kMomentum) * running_mean_[c] +
+                         kMomentum * static_cast<float>(mean);
       // Unbiased variance for running stats (PyTorch convention).
       const double unbiased =
           count > 1 ? var * static_cast<double>(count) / static_cast<double>(count - 1) : var;
-      running_var_[c] = (1.0f - momentum_) * running_var_[c] +
-                        momentum_ * static_cast<float>(unbiased);
+      running_var_[c] = (1.0f - kMomentum) * running_var_[c] +
+                        kMomentum * static_cast<float>(unbiased);
       for (std::int64_t i = 0; i < n; ++i) {
         const float* src = input.data() + (i * channels_ + c) * plane;
         float* xh = cached_xhat_.data() + (i * channels_ + c) * plane;
@@ -83,7 +78,7 @@ Tensor BatchNorm2d::forward(const Tensor& input, bool training) {
     }
   } else {
     for (std::int64_t c = 0; c < channels_; ++c) {
-      const float inv_std = 1.0f / std::sqrt(running_var_[c] + eps_);
+      const float inv_std = 1.0f / std::sqrt(running_var_[c] + kEps);
       const float mean = running_mean_[c];
       const float g = gamma[c] * inv_std;
       const float b = beta[c] - g * mean;
@@ -136,17 +131,11 @@ Tensor BatchNorm2d::backward(const Tensor& grad_output) {
   return grad_input;
 }
 
-void BatchNorm2d::collect_params(const std::string& prefix, std::vector<Param*>& out) {
-  gamma_.name = prefix + "gamma";
-  beta_.name = prefix + "beta";
-  out.push_back(&gamma_);
-  out.push_back(&beta_);
-}
-
-void BatchNorm2d::collect_buffers(const std::string& prefix,
-                                  std::vector<std::pair<std::string, Tensor*>>& out) {
-  out.emplace_back(prefix + "running_mean", &running_mean_);
-  out.emplace_back(prefix + "running_var", &running_var_);
+void BatchNorm2d::visit(ModuleWalk& walk) {
+  walk.param("gamma", gamma_);
+  walk.param("beta", beta_);
+  walk.buffer("running_mean", running_mean_);
+  walk.buffer("running_var", running_var_);
 }
 
 }  // namespace ftpim

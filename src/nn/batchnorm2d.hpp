@@ -7,13 +7,11 @@ namespace ftpim {
 
 class BatchNorm2d final : public Module {
  public:
-  explicit BatchNorm2d(std::int64_t channels, float momentum = 0.1f, float eps = 1e-5f);
+  explicit BatchNorm2d(std::int64_t channels);
 
   Tensor forward(const Tensor& input, bool training) override;
   Tensor backward(const Tensor& grad_output) override;
-  void collect_params(const std::string& prefix, std::vector<Param*>& out) override;
-  void collect_buffers(const std::string& prefix,
-                       std::vector<std::pair<std::string, Tensor*>>& out) override;
+  void visit(ModuleWalk& walk) override;
   /// Clones gamma/beta and the running statistics (the buffers eval-mode
   /// forward depends on); backward caches are dropped.
   [[nodiscard]] std::unique_ptr<Module> clone() const override;
@@ -26,8 +24,8 @@ class BatchNorm2d final : public Module {
  private:
   BatchNorm2d(const BatchNorm2d& other);
 
+  static constexpr float kMomentum = 0.1f, kEps = 1e-5f;  ///< the PyTorch defaults
   std::int64_t channels_;
-  float momentum_, eps_;
   Param gamma_, beta_;
   Tensor running_mean_, running_var_;
   // Backward caches (training only).

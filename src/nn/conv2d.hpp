@@ -6,58 +6,44 @@
 // per-thread pack arena instead.
 //
 // CIFAR-style ResNets use 3x3 stride-1/2 pad-1 convolutions without bias
-// (batch norm follows); bias is supported for standalone use.
+// (batch norm follows), so the layer has none.
 //
-// An installed MvmHook replaces the filter GEMM during eval-mode forward:
-// each image goes to the hook's conv_image, whose default lowers it to a
-// [out_h*out_w, C*kh*kw] patch matrix fed to mvm_batch as a batch of patch
-// rows (training and backward always use the float weights); see
+// The [out_c, in_c*k*k] filter matrix and the MvmHook slot live in
+// CrossbarLayer. An installed hook replaces the filter GEMM during eval-mode
+// forward: each image goes to the hook's conv_image, whose default lowers it
+// to a [out_h*out_w, C*kh*kw] patch matrix fed to mvm_batch as a batch of
+// patch rows (training and backward always use the float weights); see
 // mvm_hook.hpp.
 #pragma once
 
 #include <memory>
-#include <vector>
 
 #include "src/common/rng.hpp"
-#include "src/nn/module.hpp"
-#include "src/nn/mvm_hook.hpp"
+#include "src/nn/crossbar_layer.hpp"
 #include "src/tensor/im2col.hpp"
 
 namespace ftpim {
 
-class Conv2d final : public Module {
+class Conv2d final : public CrossbarLayer {
  public:
   Conv2d(std::int64_t in_channels, std::int64_t out_channels, std::int64_t kernel,
-         std::int64_t stride, std::int64_t pad, Rng& rng, bool with_bias = false);
+         std::int64_t stride, std::int64_t pad, Rng& rng);
 
   Tensor forward(const Tensor& input, bool training) override;
   Tensor backward(const Tensor& grad_output) override;
-  void collect_params(const std::string& prefix, std::vector<Param*>& out) override;
   [[nodiscard]] std::unique_ptr<Module> clone() const override;
   [[nodiscard]] std::string type_name() const override { return "Conv2d"; }
 
-  [[nodiscard]] std::int64_t in_channels() const noexcept { return in_channels_; }
-  [[nodiscard]] std::int64_t out_channels() const noexcept { return out_channels_; }
-  [[nodiscard]] std::int64_t kernel() const noexcept { return kernel_; }
-  [[nodiscard]] std::int64_t stride() const noexcept { return stride_; }
-  [[nodiscard]] Param& weight() noexcept { return weight_; }
-
-  /// Installs (or, with nullptr, removes) the eval-forward MVM replacement.
-  /// The hook must map in_c*k*k -> out_c. NOT carried by clone().
-  void set_mvm_hook(std::shared_ptr<const MvmHook> hook);
-  [[nodiscard]] const MvmHook* mvm_hook() const noexcept { return mvm_hook_.get(); }
+  [[nodiscard]] std::int64_t out_channels() const { return weight_.value.dim(0); }
+  [[nodiscard]] std::int64_t kernel() const noexcept { return geom_.kernel_h; }
+  [[nodiscard]] std::int64_t stride() const noexcept { return geom_.stride_h; }
 
  private:
-  Conv2d(const Conv2d& other);  ///< clone(): params copied, caches and hook dropped
+  Conv2d(const Conv2d& other);  ///< clone(): weight copied, caches and hook dropped
 
-  std::int64_t in_channels_, out_channels_, kernel_, stride_, pad_;
-  bool with_bias_;
-  Param weight_;  ///< [out_c, in_c * k * k] — already in crossbar matrix layout
-  Param bias_;    ///< [out_c]
-  ConvGeometry geom_;
+  ConvGeometry geom_;  ///< fixed at construction but for in_h/in_w, which forward sets
   Tensor cached_input_;  ///< training only; backward re-gathers patches from it
   std::int64_t cached_batch_ = 0;
-  std::shared_ptr<const MvmHook> mvm_hook_;
 };
 
 }  // namespace ftpim

@@ -9,20 +9,16 @@
 namespace ftpim {
 
 Linear::Linear(std::int64_t in_features, std::int64_t out_features, Rng& rng, bool with_bias)
-    : in_features_(in_features),
-      out_features_(out_features),
+    : CrossbarLayer(out_features, in_features),
       with_bias_(with_bias),
-      weight_("weight", Tensor(Shape{out_features, in_features}), ParamKind::kCrossbarWeight),
-      bias_("bias", Tensor(Shape{out_features}), ParamKind::kBias) {
+      bias_(Tensor(Shape{out_features}), ParamKind::kBias) {
   FTPIM_CHECK(!(in_features <= 0 || out_features <= 0), "Linear: feature counts must be positive");
   kaiming_uniform(weight_.value, in_features, rng);
 }
 
 Linear::Linear(const Linear& other)
-    : in_features_(other.in_features_),
-      out_features_(other.out_features_),
+    : CrossbarLayer(other),
       with_bias_(other.with_bias_),
-      weight_(other.weight_.clone_detached()),
       bias_(other.bias_.clone_detached()) {}
 
 std::unique_ptr<Module> Linear::clone() const {
@@ -30,26 +26,27 @@ std::unique_ptr<Module> Linear::clone() const {
 }
 
 Tensor Linear::forward(const Tensor& input, bool training) {
-  FTPIM_CHECK(input.rank() == 2 && input.dim(1) == in_features_,
-              "Linear::forward: expected [N,%lld], got %s", static_cast<long long>(in_features_),
+  const std::int64_t out_features = weight_.value.dim(0), in_features = weight_.value.dim(1);
+  FTPIM_CHECK(input.rank() == 2 && input.dim(1) == in_features,
+              "Linear::forward: expected [N,%lld], got %s", static_cast<long long>(in_features),
               shape_to_string(input.shape()).c_str());
   if (training) cached_input_ = input;
   const std::int64_t n = input.dim(0);
-  Tensor out(Shape{n, out_features_});
+  Tensor out(Shape{n, out_features});
   if (!training && mvm_hook_ != nullptr) {
     // Deployed path: the installed engine computes x W_effective^T.
     mvm_hook_->mvm_batch(input.data(), n, out.data());
   } else {
     // out[N,out] = input[N,in] * W^T[in,out] — the transpose is absorbed into
     // pack-B inside the kernel backend, not materialized.
-    gemm_bt(n, out_features_, in_features_, 1.0f, input.data(), weight_.value.data(), 0.0f,
+    gemm_bt(n, out_features, in_features, 1.0f, input.data(), weight_.value.data(), 0.0f,
             out.data());
   }
   if (with_bias_) {
     float* po = out.data();
     const float* pb = bias_.value.data();
     for (std::int64_t i = 0; i < n; ++i) {
-      for (std::int64_t j = 0; j < out_features_; ++j) po[i * out_features_ + j] += pb[j];
+      for (std::int64_t j = 0; j < out_features; ++j) po[i * out_features + j] += pb[j];
     }
   }
   return out;
@@ -57,43 +54,28 @@ Tensor Linear::forward(const Tensor& input, bool training) {
 
 Tensor Linear::backward(const Tensor& grad_output) {
   FTPIM_CHECK(!(cached_input_.empty()), "Linear::backward called without a training forward");
+  const std::int64_t out_features = weight_.value.dim(0), in_features = weight_.value.dim(1);
   const std::int64_t n = grad_output.dim(0);
   // dW[out,in] += dY^T[out,N] * X[N,in]
-  gemm_at(out_features_, in_features_, n, 1.0f, grad_output.data(), cached_input_.data(), 1.0f,
+  gemm_at(out_features, in_features, n, 1.0f, grad_output.data(), cached_input_.data(), 1.0f,
           weight_.grad.data());
   if (with_bias_) {
     float* pgb = bias_.grad.data();
     const float* pgo = grad_output.data();
     for (std::int64_t i = 0; i < n; ++i) {
-      for (std::int64_t j = 0; j < out_features_; ++j) pgb[j] += pgo[i * out_features_ + j];
+      for (std::int64_t j = 0; j < out_features; ++j) pgb[j] += pgo[i * out_features + j];
     }
   }
   // dX[N,in] = dY[N,out] * W[out,in]
-  Tensor grad_input(Shape{n, in_features_});
-  gemm(n, in_features_, out_features_, 1.0f, grad_output.data(), weight_.value.data(), 0.0f,
+  Tensor grad_input(Shape{n, in_features});
+  gemm(n, in_features, out_features, 1.0f, grad_output.data(), weight_.value.data(), 0.0f,
        grad_input.data());
   return grad_input;
 }
 
-void Linear::set_mvm_hook(std::shared_ptr<const MvmHook> hook) {
-  if (hook != nullptr) {
-    FTPIM_CHECK(hook->in_features() == in_features_ && hook->out_features() == out_features_,
-                "Linear::set_mvm_hook: hook extents [%lld -> %lld] do not match layer "
-                "[%lld -> %lld]",
-                static_cast<long long>(hook->in_features()),
-                static_cast<long long>(hook->out_features()),
-                static_cast<long long>(in_features_), static_cast<long long>(out_features_));
-  }
-  mvm_hook_ = std::move(hook);
-}
-
-void Linear::collect_params(const std::string& prefix, std::vector<Param*>& out) {
-  weight_.name = prefix + "weight";
-  out.push_back(&weight_);
-  if (with_bias_) {
-    bias_.name = prefix + "bias";
-    out.push_back(&bias_);
-  }
+void Linear::visit(ModuleWalk& walk) {
+  CrossbarLayer::visit(walk);
+  if (with_bias_) walk.param("bias", bias_);
 }
 
 }  // namespace ftpim

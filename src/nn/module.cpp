@@ -4,25 +4,58 @@
 
 namespace ftpim {
 
-std::vector<Param*> parameters_of(Module& root, const std::string& prefix) {
+ModuleWalk::ModuleWalk(Module& root) : modules{&root} { root.visit(*this); }
+
+void ModuleWalk::child(const std::string& name, Module& module) {
+  const std::size_t parent_len = prefix_.size();
+  prefix_ += name + ".";
+  modules.push_back(&module);
+  module.visit(*this);
+  prefix_.resize(parent_len);
+}
+
+namespace {
+
+/// Pairs each param value and buffer of `root` with its entry in `state`,
+/// throwing on the first missing or misshaped entry before the caller
+/// writes any.
+std::vector<std::pair<Tensor*, const Tensor*>> match_state(Module& root,
+                                                           const StateDict& state) {
+  const ModuleWalk walk(root);
+  std::vector<std::pair<Tensor*, const Tensor*>> pairs;
+  const auto match = [&](const std::string& name, Tensor& tensor) {
+    const auto it = state.find(name);
+    if (it == state.end()) {
+      throw std::runtime_error("load_state_dict: missing entry '" + name + "'");
+    }
+    if (it->second.shape() != tensor.shape()) {
+      throw std::runtime_error("load_state_dict: shape mismatch for '" + name + "': " +
+                               shape_to_string(it->second.shape()) + " vs " +
+                               shape_to_string(tensor.shape()));
+    }
+    pairs.emplace_back(&tensor, &it->second);
+  };
+  for (const auto& [name, p] : walk.params) match(name, p->value);
+  for (const auto& [name, buffer] : walk.buffers) match(name, *buffer);
+  return pairs;
+}
+
+}  // namespace
+
+void Module::collect_modules(std::vector<Module*>& out) {
+  const ModuleWalk walk(*this);
+  out.insert(out.end(), walk.modules.begin(), walk.modules.end());
+}
+
+std::vector<NamedParam> named_parameters_of(Module& root) { return ModuleWalk(root).params; }
+
+std::vector<Param*> parameters_of(Module& root) {
   std::vector<Param*> params;
-  root.collect_params(prefix, params);
+  for (const NamedParam& p : named_parameters_of(root)) params.push_back(p.param);
   return params;
 }
 
-std::vector<Param*> crossbar_params(Module& root) {
-  std::vector<Param*> params;
-  for (Param* p : parameters_of(root)) {
-    if (p->kind == ParamKind::kCrossbarWeight) params.push_back(p);
-  }
-  return params;
-}
-
-std::vector<Module*> modules_of(Module& root) {
-  std::vector<Module*> modules;
-  root.collect_modules(modules);
-  return modules;
-}
+std::vector<Module*> modules_of(Module& root) { return ModuleWalk(root).modules; }
 
 void zero_grads(Module& root) {
   for (Param* p : parameters_of(root)) p->grad.zero();
@@ -35,40 +68,15 @@ std::int64_t parameter_count(Module& root) {
 }
 
 StateDict state_dict_of(Module& root) {
+  const ModuleWalk walk(root);
   StateDict state;
-  for (const Param* p : parameters_of(root)) state.emplace(p->name, p->value);
-  std::vector<std::pair<std::string, Tensor*>> buffers;
-  root.collect_buffers("", buffers);
-  for (const auto& [name, tensor] : buffers) state.emplace(name, *tensor);
+  for (const auto& [name, p] : walk.params) state.emplace(name, p->value);
+  for (const auto& [name, buffer] : walk.buffers) state.emplace(name, *buffer);
   return state;
 }
 
 void load_state_dict_into(Module& root, const StateDict& state) {
-  auto fetch = [&state](const std::string& name) -> const Tensor& {
-    const auto it = state.find(name);
-    if (it == state.end()) {
-      throw std::runtime_error("load_state_dict: missing entry '" + name + "'");
-    }
-    return it->second;
-  };
-  for (Param* p : parameters_of(root)) {
-    const Tensor& src = fetch(p->name);
-    if (src.shape() != p->value.shape()) {
-      throw std::runtime_error("load_state_dict: shape mismatch for '" + p->name + "': " +
-                               shape_to_string(src.shape()) + " vs " +
-                               shape_to_string(p->value.shape()));
-    }
-    p->value = src;
-  }
-  std::vector<std::pair<std::string, Tensor*>> buffers;
-  root.collect_buffers("", buffers);
-  for (auto& [name, tensor] : buffers) {
-    const Tensor& src = fetch(name);
-    if (src.shape() != tensor->shape()) {
-      throw std::runtime_error("load_state_dict: shape mismatch for buffer '" + name + "'");
-    }
-    *tensor = src;
-  }
+  for (const auto& [dst, src] : match_state(root, state)) *dst = *src;
 }
 
 }  // namespace ftpim

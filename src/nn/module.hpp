@@ -10,14 +10,19 @@
 //   * forward(x, training) caches whatever backward needs.
 //   * backward(grad_out) ACCUMULATES into param .grad and returns grad wrt
 //     the forward input. Call zero_grad() between steps.
-//   * Parameters are exposed via collect_params(prefix, out); weights that
-//     live on ReRAM crossbars (conv/linear kernels) are tagged
-//     ParamKind::kCrossbarWeight — fault injection and pruning apply to
-//     exactly this set.
+//   * visit() is a module's one tree method: a container names its direct
+//     children, a leaf lists its own params and buffers under local names.
+//     ModuleWalk joins the names with '.' and yields the parameters, the
+//     buffers and the modules_of pre-order. It writes nothing into the
+//     model, so concurrent walks of one shared model only read it.
+//   * The weights that live on ReRAM crossbars are the CrossbarLayer weights
+//     (crossbar_layer.hpp) — fault injection and pruning apply to exactly
+//     that set.
 #pragma once
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/tensor/param.hpp"
@@ -25,6 +30,27 @@
 #include "src/tensor/tensor.hpp"
 
 namespace ftpim {
+
+class CrossbarLayer;
+class Module;
+
+/// The one tree walk (see the contract above): joins the local names that
+/// Module::visit lists with '.' ("3.main.0.weight"), parents before children.
+class ModuleWalk {
+ public:
+  explicit ModuleWalk(Module& root);
+
+  void child(const std::string& name, Module& module);
+  void param(const char* name, Param& p) { params.push_back({prefix_ + name, &p}); }
+  void buffer(const char* name, Tensor& tensor) { buffers.emplace_back(prefix_ + name, &tensor); }
+
+  std::vector<Module*> modules;  ///< pre-order, root first
+  std::vector<NamedParam> params;
+  std::vector<std::pair<std::string, Tensor*>> buffers;
+
+ private:
+  std::string prefix_;
+};
 
 class Module {
  public:
@@ -41,26 +67,14 @@ class Module {
   /// most recent forward() input.
   virtual Tensor backward(const Tensor& grad_output) = 0;
 
-  /// Appends pointers to this module's (and children's) parameters, with
-  /// hierarchical names rooted at `prefix`.
-  virtual void collect_params(const std::string& prefix, std::vector<Param*>& out) {
-    (void)prefix;
-    (void)out;
-  }
+  /// The module's one tree method: lists its direct children (a container)
+  /// or its own params and buffers (a leaf) to `walk`, in forward order. The
+  /// default lists nothing: a leaf without state.
+  virtual void visit(ModuleWalk& walk) { (void)walk; }
 
-  /// Appends non-trainable state (e.g. BN running stats) as name/tensor
-  /// pointer pairs for checkpointing.
-  virtual void collect_buffers(const std::string& prefix,
-                               std::vector<std::pair<std::string, Tensor*>>& out) {
-    (void)prefix;
-    (void)out;
-  }
-
-  /// Appends this module and (for containers) every descendant, parents
-  /// before children, in forward order. The deployment layer uses this to
-  /// find the concrete Linear/Conv2d instances behind a model so it can
-  /// install per-layer hardware hooks (see mvm_hook.hpp).
-  virtual void collect_modules(std::vector<Module*>& out) { out.push_back(this); }
+  /// Appends this module and every descendant, parents before children, in
+  /// forward order (the modules_of walk).
+  void collect_modules(std::vector<Module*>& out);
 
   /// Deep copy: same architecture with parameter values and buffers (e.g. BN
   /// running stats) copied into fresh, disjoint storage. Gradients are zeroed
@@ -79,17 +93,26 @@ class Module {
 
 // --- whole-network helpers ---------------------------------------------------
 
-/// All parameters of `root` with hierarchical names.
-std::vector<Param*> parameters_of(Module& root, const std::string& prefix = "");
+/// All parameters of `root` with their hierarchical names
+/// ("3.main.0.weight"), in walk order.
+std::vector<NamedParam> named_parameters_of(Module& root);
 
-/// The ParamKind::kCrossbarWeight subset of parameters_of(root), in the same
-/// order: the weights that live on crossbar cells, which fault injection,
-/// variation and pruning act on. Weight i of this concatenated walk owns
-/// model cells 2i and 2i+1, the convention QuantizedDeployment checks.
-std::vector<Param*> crossbar_params(Module& root);
+/// All parameters of `root`, in walk order.
+std::vector<Param*> parameters_of(Module& root);
 
 /// Flat pre-order walk of the module tree (root first).
 std::vector<Module*> modules_of(Module& root);
+
+/// The CrossbarLayers (crossbar_layer.hpp) of modules_of(root), in
+/// pre-order: the one way to find the layers whose weights live on crossbar
+/// cells.
+std::vector<CrossbarLayer*> crossbar_layers(Module& root);
+
+/// The weights of crossbar_layers(root), in the same order: the weights
+/// that fault injection, variation and pruning act on. Weight i of this
+/// concatenated walk owns model cells 2i and 2i+1 — the model-cell
+/// convention that fault injection, the int8 deployment and every die share.
+std::vector<Param*> crossbar_params(Module& root);
 
 /// Zeroes every parameter gradient.
 void zero_grads(Module& root);
@@ -101,7 +124,9 @@ std::int64_t parameter_count(Module& root);
 StateDict state_dict_of(Module& root);
 
 /// Loads matching entries from `state` into `root`'s params/buffers.
-/// Throws std::runtime_error on missing entries or shape mismatches.
+/// Throws std::runtime_error on missing entries or shape mismatches; every
+/// entry is checked before any is written, so a refused state leaves `root`
+/// unchanged.
 void load_state_dict_into(Module& root, const StateDict& state);
 
 }  // namespace ftpim

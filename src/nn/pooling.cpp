@@ -41,15 +41,11 @@ Tensor GlobalAvgPool::backward(const Tensor& grad_output) {
 
 std::unique_ptr<Module> GlobalAvgPool::clone() const { return std::make_unique<GlobalAvgPool>(); }
 
-MaxPool2d::MaxPool2d(std::int64_t window, std::int64_t stride) : window_(window), stride_(stride) {
-  FTPIM_CHECK(!(window <= 0 || stride <= 0), "MaxPool2d: invalid geometry");
-}
-
 Tensor MaxPool2d::forward(const Tensor& input, bool training) {
   FTPIM_CHECK(!(input.rank() != 4), "MaxPool2d: rank-4 input required");
   const std::int64_t n = input.dim(0), c = input.dim(1), h = input.dim(2), w = input.dim(3);
-  const std::int64_t oh = (h - window_) / stride_ + 1;
-  const std::int64_t ow = (w - window_) / stride_ + 1;
+  const std::int64_t oh = h / 2;
+  const std::int64_t ow = w / 2;
   FTPIM_CHECK(!(oh <= 0 || ow <= 0), "MaxPool2d: output would be empty");
   Tensor out(Shape{n, c, oh, ow});
   if (training) {
@@ -61,17 +57,13 @@ Tensor MaxPool2d::forward(const Tensor& input, bool training) {
       const float* plane = input.data() + (i * c + ch) * h * w;
       for (std::int64_t y = 0; y < oh; ++y) {
         for (std::int64_t x = 0; x < ow; ++x) {
+          const std::int64_t corner = 2 * y * w + 2 * x;  // the window's top-left input
           float best = -std::numeric_limits<float>::infinity();
           std::int64_t best_idx = 0;
-          for (std::int64_t ky = 0; ky < window_; ++ky) {
-            for (std::int64_t kx = 0; kx < window_; ++kx) {
-              const std::int64_t iy = y * stride_ + ky;
-              const std::int64_t ix = x * stride_ + kx;
-              const std::int64_t idx = iy * w + ix;
-              if (plane[idx] > best) {
-                best = plane[idx];
-                best_idx = idx;
-              }
+          for (const std::int64_t idx : {corner, corner + 1, corner + w, corner + w + 1}) {
+            if (plane[idx] > best) {
+              best = plane[idx];
+              best_idx = idx;
             }
           }
           out.at(i, ch, y, x) = best;
@@ -106,9 +98,7 @@ Tensor MaxPool2d::backward(const Tensor& grad_output) {
   return grad_input;
 }
 
-std::unique_ptr<Module> MaxPool2d::clone() const {
-  return std::make_unique<MaxPool2d>(window_, stride_);
-}
+std::unique_ptr<Module> MaxPool2d::clone() const { return std::make_unique<MaxPool2d>(); }
 
 Tensor Flatten::forward(const Tensor& input, bool training) {
   FTPIM_CHECK(!(input.rank() < 2), "Flatten: rank >= 2 required");

@@ -20,17 +20,17 @@ class GlobalAvgPool final : public Module {
   Shape cached_in_shape_;
 };
 
-/// Max pooling with square window/stride: [N,C,H,W] -> [N,C,H',W'].
+/// 2x2 max pooling with stride 2: [N,C,H,W] -> [N,C,H/2,W/2]. Each window
+/// starts at -inf and its first maximum (row-major) wins.
 class MaxPool2d final : public Module {
  public:
-  MaxPool2d(std::int64_t window, std::int64_t stride);
+  MaxPool2d() = default;
   Tensor forward(const Tensor& input, bool training) override;
   Tensor backward(const Tensor& grad_output) override;
   [[nodiscard]] std::unique_ptr<Module> clone() const override;
   [[nodiscard]] std::string type_name() const override { return "MaxPool2d"; }
 
  private:
-  std::int64_t window_, stride_;
   Shape cached_in_shape_;
   std::vector<std::int64_t> cached_argmax_;
 };

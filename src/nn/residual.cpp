@@ -12,10 +12,10 @@ ResidualBlock::ResidualBlock(std::int64_t in_channels, std::int64_t out_channels
     : in_channels_(in_channels), out_channels_(out_channels), stride_(stride) {
   FTPIM_CHECK(!(stride != 1 && stride != 2), "ResidualBlock: stride must be 1 or 2");
   FTPIM_CHECK(!(stride == 1 && in_channels != out_channels), "ResidualBlock: channel change requires stride 2 (option A)");
-  main_.emplace<Conv2d>(in_channels, out_channels, 3, stride, 1, rng, /*with_bias=*/false);
+  main_.emplace<Conv2d>(in_channels, out_channels, 3, stride, 1, rng);
   main_.emplace<BatchNorm2d>(out_channels);
   main_.emplace<ReLU>();
-  main_.emplace<Conv2d>(out_channels, out_channels, 3, 1, 1, rng, /*with_bias=*/false);
+  main_.emplace<Conv2d>(out_channels, out_channels, 3, 1, 1, rng);
   main_.emplace<BatchNorm2d>(out_channels);
 }
 
@@ -109,20 +109,6 @@ Tensor ResidualBlock::backward(const Tensor& grad_output) {
   const float* pb = grad_short.data();
   for (std::int64_t i = 0; i < grad_main.numel(); ++i) pa[i] += pb[i];
   return grad_main;
-}
-
-void ResidualBlock::collect_params(const std::string& prefix, std::vector<Param*>& out) {
-  main_.collect_params(prefix + "main.", out);
-}
-
-void ResidualBlock::collect_buffers(const std::string& prefix,
-                                    std::vector<std::pair<std::string, Tensor*>>& out) {
-  main_.collect_buffers(prefix + "main.", out);
-}
-
-void ResidualBlock::collect_modules(std::vector<Module*>& out) {
-  out.push_back(this);
-  main_.collect_modules(out);
 }
 
 }  // namespace ftpim

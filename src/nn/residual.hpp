@@ -25,10 +25,7 @@ class ResidualBlock final : public Module {
 
   Tensor forward(const Tensor& input, bool training) override;
   Tensor backward(const Tensor& grad_output) override;
-  void collect_params(const std::string& prefix, std::vector<Param*>& out) override;
-  void collect_buffers(const std::string& prefix,
-                       std::vector<std::pair<std::string, Tensor*>>& out) override;
-  void collect_modules(std::vector<Module*>& out) override;
+  void visit(ModuleWalk& walk) override { walk.child("main", main_); }
   [[nodiscard]] std::unique_ptr<Module> clone() const override;
   [[nodiscard]] std::string type_name() const override { return "ResidualBlock"; }
 

@@ -30,22 +30,10 @@ Tensor Sequential::backward(const Tensor& grad_output) {
   return g;
 }
 
-void Sequential::collect_params(const std::string& prefix, std::vector<Param*>& out) {
+void Sequential::visit(ModuleWalk& walk) {
   for (std::size_t i = 0; i < children_.size(); ++i) {
-    children_[i]->collect_params(prefix + std::to_string(i) + ".", out);
+    walk.child(std::to_string(i), *children_[i]);
   }
-}
-
-void Sequential::collect_buffers(const std::string& prefix,
-                                 std::vector<std::pair<std::string, Tensor*>>& out) {
-  for (std::size_t i = 0; i < children_.size(); ++i) {
-    children_[i]->collect_buffers(prefix + std::to_string(i) + ".", out);
-  }
-}
-
-void Sequential::collect_modules(std::vector<Module*>& out) {
-  out.push_back(this);
-  for (const auto& child : children_) child->collect_modules(out);
 }
 
 }  // namespace ftpim

@@ -31,10 +31,7 @@ class Sequential final : public Module {
 
   Tensor forward(const Tensor& input, bool training) override;
   Tensor backward(const Tensor& grad_output) override;
-  void collect_params(const std::string& prefix, std::vector<Param*>& out) override;
-  void collect_buffers(const std::string& prefix,
-                       std::vector<std::pair<std::string, Tensor*>>& out) override;
-  void collect_modules(std::vector<Module*>& out) override;
+  void visit(ModuleWalk& walk) override;  ///< children named "0", "1", ...
   [[nodiscard]] std::unique_ptr<Module> clone() const override;
   [[nodiscard]] std::string type_name() const override { return "Sequential"; }
 

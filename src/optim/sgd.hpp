@@ -23,7 +23,8 @@ struct SgdConfig {
 
 class Sgd {
  public:
-  Sgd(std::vector<Param*> params, SgdConfig config);
+  /// `params` as named_parameters_of yields them; the names key state_dict().
+  Sgd(std::vector<NamedParam> params, SgdConfig config);
 
   /// Applies one update using accumulated grads; does NOT zero grads.
   void step();
@@ -42,11 +43,12 @@ class Sgd {
   [[nodiscard]] StateDict state_dict() const;
 
   /// Restores momentum buffers captured by state_dict(). Throws
-  /// ContractViolation on a missing entry or shape mismatch.
+  /// ContractViolation on a missing entry or shape mismatch; every entry is
+  /// checked before any is written, so a refused state changes nothing.
   void load_state(const StateDict& state);
 
  private:
-  std::vector<Param*> params_;
+  std::vector<NamedParam> params_;
   std::vector<Tensor> velocity_;
   std::unordered_map<const Param*, Tensor> masks_;
   SgdConfig config_;

@@ -71,10 +71,11 @@ void apply_mask(Tensor& values, const Tensor& mask) {
 std::string sparsity_report(Module& root) {
   std::ostringstream oss;
   oss << "layer sparsity:\n";
-  for (const Param* p : crossbar_params(root)) {
+  for (const auto& [name, p] : named_parameters_of(root)) {
+    if (p->kind != ParamKind::kCrossbarWeight) continue;
     const double s =
         static_cast<double>(count_zeros(p->value)) / static_cast<double>(p->value.numel());
-    oss << "  " << p->name << "  " << shape_to_string(p->value.shape()) << "  "
+    oss << "  " << name << "  " << shape_to_string(p->value.shape()) << "  "
         << static_cast<int>(s * 1000.0) / 10.0 << "%\n";
   }
   oss << "  overall: " << static_cast<int>(model_sparsity(root) * 1000.0) / 10.0 << "%\n";

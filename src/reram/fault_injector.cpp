@@ -156,6 +156,16 @@ void FaultInjectionSession::restore() noexcept {
   injected_ = false;
 }
 
+void FaultInjectionSession::zero_hit_gradients() noexcept {
+  for (std::size_t k = 0; k < params_.size(); ++k) {
+    float* g = params_[k]->grad.data();
+    const float* hit = hit_masks_[k].data();
+    for (std::int64_t i = 0; i < params_[k]->grad.numel(); ++i) {
+      if (hit[i] != 0.0f) g[i] = 0.0f;
+    }
+  }
+}
+
 FaultInjectionSession::~FaultInjectionSession() { restore(); }
 
 }  // namespace ftpim

@@ -145,15 +145,15 @@ class FaultInjectionSession {
   [[nodiscard]] bool injected() const noexcept { return injected_; }
   [[nodiscard]] const InjectionStats& stats() const noexcept { return stats_; }
 
-  /// Per-parameter hit masks, parallel to faulted_params(); 1 where a cell
-  /// fault changed the weight. Valid after the first inject().
-  [[nodiscard]] const std::vector<Tensor>& hit_masks() const noexcept { return hit_masks_; }
-  [[nodiscard]] const std::vector<Param*>& faulted_params() const noexcept { return params_; }
+  /// Zeroes the gradient of every weight a cell fault changed, so no update
+  /// flows into a weight the faults pin (GradMode::kMasked, device-specific
+  /// retraining). Call while injected().
+  void zero_hit_gradients() noexcept;
 
  private:
   std::vector<Param*> params_;
   std::vector<Tensor> shadow_;  ///< faulted copy pre-publish, clean copy while injected
-  std::vector<Tensor> hit_masks_;
+  std::vector<Tensor> hit_masks_;  ///< 1 where a cell fault changed the weight
   InjectionStats stats_;
   bool injected_ = false;
   std::atomic<bool> busy_{false};  ///< inject() reentrancy/concurrency detector

@@ -2,43 +2,24 @@
 
 #include "src/common/check.hpp"
 #include "src/common/rng.hpp"
-#include "src/reram/fault_injector.hpp"
 
 namespace ftpim::qinfer {
 
-QuantizedDeployment::QuantizedDeployment(Module& model, const QuantizedEngineConfig& config)
-    : model_(&model) {
+QuantizedDeployment::QuantizedDeployment(Module& model, const QuantizedEngineConfig& config) {
   config.validate();
-  // modules_of walks children in the same order collect_params does, and
-  // only Linear/Conv2d carry kCrossbarWeight params, so the per-layer cell
-  // ranges assigned here line up with the fault injector's concatenated
-  // parameter walk. The check at the end pins that invariant.
-  for (Module* m : modules_of(model)) {
-    LayerSlot slot;
-    Tensor* weights = nullptr;
-    if (auto* lin = dynamic_cast<Linear*>(m); lin != nullptr) {
-      slot.linear = lin;
-      weights = &lin->weight().value;
-    } else if (auto* conv = dynamic_cast<Conv2d*>(m); conv != nullptr) {
-      slot.conv = conv;
-      weights = &conv->weight().value;
-    } else {
-      continue;
-    }
-    auto engine = std::make_unique<QuantizedCrossbarEngine>(*weights, config);
-    slot.hook = std::make_shared<EngineHook>(std::move(engine));
-    slot.cell_offset = cell_count_;
-    slot.cells = 2 * weights->numel();
+  // crossbar_layers is the walk crossbar_params follows, so the per-layer
+  // cell ranges assigned here are the fault injector's model-cell ranges.
+  for (CrossbarLayer* layer : crossbar_layers(model)) {
+    const Tensor& weights = layer->weight().value;
+    LayerSlot slot{.layer = layer,
+                   .hook = std::make_shared<EngineHook>(
+                       std::make_unique<QuantizedCrossbarEngine>(weights, config)),
+                   .cell_offset = cell_count_,
+                   .cells = 2 * weights.numel()};
     cell_count_ += slot.cells;
-    if (slot.linear != nullptr) {
-      slot.linear->set_mvm_hook(slot.hook);
-    } else {
-      slot.conv->set_mvm_hook(slot.hook);
-    }
+    layer->set_mvm_hook(slot.hook);
     layers_.push_back(std::move(slot));
   }
-  FTPIM_CHECK_EQ(cell_count_, crossbar_cell_count(model),
-                 "QuantizedDeployment: layer walk disagrees with the parameter walk");
   abft_enabled_ = config.abft.enabled;
 }
 
@@ -46,11 +27,7 @@ QuantizedDeployment::~QuantizedDeployment() {
   for (LayerSlot& slot : layers_) {
     // Only uninstall a hook we still own — if someone re-deployed the same
     // model, the layer already points at the newer deployment's hook.
-    if (slot.linear != nullptr && slot.linear->mvm_hook() == slot.hook.get()) {
-      slot.linear->set_mvm_hook(nullptr);
-    } else if (slot.conv != nullptr && slot.conv->mvm_hook() == slot.hook.get()) {
-      slot.conv->set_mvm_hook(nullptr);
-    }
+    if (slot.layer->mvm_hook() == slot.hook.get()) slot.layer->set_mvm_hook(nullptr);
   }
 }
 

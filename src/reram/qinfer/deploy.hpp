@@ -1,15 +1,15 @@
 // Model-level deployment of the quantized crossbar engine.
 //
-// A QuantizedDeployment walks a model, builds one QuantizedCrossbarEngine
-// per crossbar-weight layer (Linear / Conv2d), and installs each engine as
-// the layer's MvmHook — after which every EVAL-mode forward of the model
+// A QuantizedDeployment walks a model's crossbar_layers, builds one
+// QuantizedCrossbarEngine per layer (Linear / Conv2d), and installs each
+// engine as the layer's MvmHook — after which every EVAL-mode forward of the model
 // runs the int8 conductance-domain datapath instead of the float GEMM.
 // Training forwards and backward are untouched, so the same model object
 // can keep training between deployments.
 //
 // Fault plumbing: the deployment speaks the same model-level cell space as
 // src/reram/fault_injector.hpp — 2 cells per crossbar weight, concatenated
-// in parameters_of order — so the DefectMaps that ReplicaPool and the
+// in crossbar_params order — so the DefectMaps that ReplicaPool and the
 // defect evaluator already sample can be applied unchanged. Here they land
 // in the LEVEL domain (stuck-off -> level 0, stuck-on -> level L-1) instead
 // of being folded into float weights.
@@ -25,8 +25,7 @@
 #include <memory>
 #include <vector>
 
-#include "src/nn/conv2d.hpp"
-#include "src/nn/linear.hpp"
+#include "src/nn/crossbar_layer.hpp"
 #include "src/nn/module.hpp"
 #include "src/nn/mvm_hook.hpp"
 #include "src/reram/qinfer/quantized_engine.hpp"
@@ -114,14 +113,12 @@ class QuantizedDeployment {
 
  private:
   struct LayerSlot {
-    Linear* linear = nullptr;  ///< exactly one of linear/conv is set
-    Conv2d* conv = nullptr;
+    CrossbarLayer* layer = nullptr;
     std::shared_ptr<EngineHook> hook;
     std::int64_t cell_offset = 0;  ///< into the model-level cell space
     std::int64_t cells = 0;        ///< 2 * weight numel
   };
 
-  Module* model_;
   std::vector<LayerSlot> layers_;
   std::int64_t cell_count_ = 0;
   bool abft_enabled_ = false;

@@ -25,7 +25,8 @@
 // Construction is exclusive; afterwards each replica — model, map, and the
 // repair()/advance_aging() mutators — is single-owner state driven only by
 // its worker thread, while size()/config()/source() stay safe to read from
-// anywhere.
+// anywhere. Workers repairing at once share only the pristine source, which
+// they clone and walk (module walks write nothing).
 #pragma once
 
 #include <cstdint>
@@ -173,9 +174,6 @@ class ReplicaPool {
 
   ReplicaPoolConfig config_;
   std::unique_ptr<Module> source_;  ///< pristine clone; never faulted
-  /// Crossbar cells of source_, counted once: walking a module's params
-  /// writes their names, so workers repairing at once must not walk source_.
-  std::int64_t source_cells_ = 0;
   std::vector<Replica> replicas_;
 };
 

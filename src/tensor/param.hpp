@@ -1,4 +1,4 @@
-// Named trainable parameter: a value/grad Tensor pair tagged with where the
+// Trainable parameter: a value/grad Tensor pair tagged with where the
 // weight physically lives (ReRAM crossbar vs digital periphery).
 //
 // This lives in the tensor module (not nn) on purpose: optimizers update
@@ -6,6 +6,10 @@
 // needing the Module graph, so optim and reram can depend on tensor alone —
 // the layering DAG keeps nn/optim/data as independent siblings
 // (tools/ftpim_analyze.py enforces it).
+//
+// A Param carries no name. Hierarchical names are an output of the module
+// walk (named_parameters_of in src/nn/module.hpp), never stored, so walking
+// a model that other threads share only reads it.
 #pragma once
 
 #include <string>
@@ -22,18 +26,22 @@ enum class ParamKind {
 };
 
 struct Param {
-  std::string name;  ///< hierarchical name, e.g. "stage1.block0.conv1.weight"
   Tensor value;
   Tensor grad;
   ParamKind kind = ParamKind::kCrossbarWeight;
 
-  Param() = default;
-  Param(std::string n, Tensor v, ParamKind k)
-      : name(std::move(n)), value(std::move(v)), grad(value.shape()), kind(k) {}
+  Param(Tensor v, ParamKind k) : value(std::move(v)), grad(value.shape()), kind(k) {}
 
   /// Copy with the value in fresh storage and a zeroed gradient — what a
   /// Module::clone() needs (grads are per-training-loop state, not weights).
-  [[nodiscard]] Param clone_detached() const { return Param(name, value, kind); }
+  [[nodiscard]] Param clone_detached() const { return Param(value, kind); }
+};
+
+/// A parameter under its hierarchical name, e.g. "3.main.0.weight", as the
+/// module walk yields it.
+struct NamedParam {
+  std::string name;
+  Param* param = nullptr;
 };
 
 }  // namespace ftpim

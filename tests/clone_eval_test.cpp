@@ -2,12 +2,16 @@
 // defect evaluation (bit-identical results at any FTPIM_THREADS setting).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
+#include <thread>
+#include <vector>
 
 #include "src/common/check.hpp"
 #include "src/core/evaluator.hpp"
 #include "src/data/synthetic.hpp"
 #include "src/models/mlp.hpp"
+#include "src/models/resnet.hpp"
 #include "src/models/small_cnn.hpp"
 #include "src/reram/fault_injector.hpp"
 #include "test_util.hpp"
@@ -31,24 +35,53 @@ TEST(ModuleClone, ParamsEqualAndStorageDisjoint) {
   auto net = make_small_cnn(SmallCnnConfig{.image_size = 16, .width = 8, .classes = 10});
   const std::unique_ptr<Module> copy = net->clone();
 
-  std::vector<Param*> src = parameters_of(*net);
-  std::vector<Param*> dst = parameters_of(*copy);
+  const std::vector<NamedParam> src = named_parameters_of(*net);
+  const std::vector<NamedParam> dst = named_parameters_of(*copy);
   ASSERT_EQ(src.size(), dst.size());
   ASSERT_FALSE(src.empty());
   for (std::size_t k = 0; k < src.size(); ++k) {
-    EXPECT_EQ(src[k]->name, dst[k]->name);
-    EXPECT_EQ(src[k]->kind, dst[k]->kind);
-    EXPECT_TRUE(src[k]->value.allclose(dst[k]->value, 0.0f, 0.0f)) << src[k]->name;
+    const std::string& name = src[k].name;
+    const Param* a = src[k].param;
+    const Param* b = dst[k].param;
+    EXPECT_EQ(name, dst[k].name);
+    EXPECT_EQ(a->kind, b->kind);
+    EXPECT_TRUE(a->value.allclose(b->value, 0.0f, 0.0f)) << name;
     // Fresh storage: mutating one side must not leak into the other.
-    EXPECT_NE(src[k]->value.data(), dst[k]->value.data()) << src[k]->name;
+    EXPECT_NE(a->value.data(), b->value.data()) << name;
     // Clone starts with zeroed grads regardless of the source's.
-    for (std::int64_t i = 0; i < dst[k]->grad.numel(); ++i) {
-      ASSERT_EQ(dst[k]->grad[i], 0.0f) << src[k]->name;
-    }
+    for (std::int64_t i = 0; i < b->grad.numel(); ++i) ASSERT_EQ(b->grad[i], 0.0f) << name;
   }
 
-  src[0]->value[0] += 1.0f;
-  EXPECT_NE(src[0]->value[0], dst[0]->value[0]);
+  src[0].param->value[0] += 1.0f;
+  EXPECT_NE(src[0].param->value[0], dst[0].param->value[0]);
+}
+
+TEST(ModuleClone, ConcurrentWalksOfOneSharedModelOnlyReadIt) {
+  // Serve workers repairing at once all walk the pool's pristine source.
+  // Every walk must only read the model (TSan-clean) and agree with a walk
+  // made alone.
+  auto net = make_resnet20(10, /*base_width=*/8, /*seed=*/1);
+  const std::size_t params = parameters_of(*net).size();
+  const std::size_t weights = crossbar_params(*net).size();
+  const std::int64_t cells = crossbar_cell_count(*net);
+  const std::vector<std::uint8_t> state = encode_state_dict(state_dict_of(*net));
+  const std::size_t modules = modules_of(*net).size();
+  std::atomic<int> disagreements{0};
+  std::vector<std::thread> walkers;
+  for (int t = 0; t < 4; ++t) {
+    walkers.emplace_back([&] {
+      for (int rep = 0; rep < 3; ++rep) {
+        const bool same = parameters_of(*net).size() == params &&
+                          crossbar_params(*net).size() == weights &&
+                          crossbar_cell_count(*net) == cells &&
+                          encode_state_dict(state_dict_of(*net)) == state &&
+                          modules_of(*net).size() == modules;
+        if (!same) ++disagreements;
+      }
+    });
+  }
+  for (std::thread& w : walkers) w.join();
+  EXPECT_EQ(disagreements.load(), 0);
 }
 
 TEST(ModuleClone, CarriesBatchNormRunningStats) {
@@ -79,8 +112,8 @@ TEST(ModuleClone, CloneOfResidualModelIsIndependent) {
   const StateDict before = state_dict_of(*net);
   Rng rng(44);
   inject_into_model(*copy, StuckAtFaultModel(0.5), {}, rng);
-  for (const Param* p : parameters_of(*net)) {
-    EXPECT_TRUE(p->value.allclose(before.at(p->name), 0.0f, 0.0f)) << p->name;
+  for (const auto& [name, p] : named_parameters_of(*net)) {
+    EXPECT_TRUE(p->value.allclose(before.at(name), 0.0f, 0.0f)) << name;
   }
 }
 

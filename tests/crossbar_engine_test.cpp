@@ -270,7 +270,7 @@ TEST(FaultDatapaths, RngInjectorStreamReplaysThroughDefectMap) {
           EXPECT_EQ(std::memcmp(a[k]->value.data(), b[k]->value.data(),
                                 static_cast<std::size_t>(a[k]->value.numel()) * sizeof(float)),
                     0)
-              << a[k]->name;
+              << "crossbar weight " << k;
         }
       }
     }

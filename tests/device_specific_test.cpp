@@ -40,8 +40,8 @@ TEST(EvaluateOnDevice, DeterministicPerDeviceAndRestores) {
   const double a1 = evaluate_on_device(*s.model, *s.test, 0.05, kPaperSa0Fraction, {}, 99, 0);
   const double a2 = evaluate_on_device(*s.model, *s.test, 0.05, kPaperSa0Fraction, {}, 99, 0);
   EXPECT_DOUBLE_EQ(a1, a2);
-  for (const Param* p : parameters_of(*s.model)) {
-    EXPECT_TRUE(p->value.allclose(before.at(p->name), 0.0f, 0.0f));
+  for (const auto& [name, p] : named_parameters_of(*s.model)) {
+    EXPECT_TRUE(p->value.allclose(before.at(name), 0.0f, 0.0f));
   }
 }
 

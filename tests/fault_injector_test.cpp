@@ -139,9 +139,9 @@ TEST(InjectIntoModel, OnlyTouchesCrossbarWeights) {
   const InjectionStats stats = inject_into_model(*net, StuckAtFaultModel(0.3), {}, rng);
   EXPECT_GT(stats.faulted_cells, 0);
   std::size_t b = 0;
-  for (const Param* p : parameters_of(*net)) {
+  for (const auto& [name, p] : named_parameters_of(*net)) {
     if (p->kind == ParamKind::kBias) {
-      EXPECT_TRUE(p->value.allclose(biases[b++], 0.0f, 0.0f)) << p->name;
+      EXPECT_TRUE(p->value.allclose(biases[b++], 0.0f, 0.0f)) << name;
     }
   }
 }
@@ -155,13 +155,13 @@ TEST(FaultInjectionSession, RestoresCleanWeights) {
     EXPECT_GT(session.inject(StuckAtFaultModel(0.2), {}, rng).faulted_cells, 0);
     // Weights are perturbed inside the scope.
     bool changed = false;
-    for (const Param* p : crossbar_params(*net)) {
-      if (!p->value.allclose(before.at(p->name), 0.0f, 0.0f)) changed = true;
+    for (const auto& [name, p] : named_parameters_of(*net)) {
+      if (!p->value.allclose(before.at(name), 0.0f, 0.0f)) changed = true;
     }
     EXPECT_TRUE(changed);
   }
-  for (const Param* p : parameters_of(*net)) {
-    EXPECT_TRUE(p->value.allclose(before.at(p->name), 0.0f, 0.0f)) << p->name;
+  for (const auto& [name, p] : named_parameters_of(*net)) {
+    EXPECT_TRUE(p->value.allclose(before.at(name), 0.0f, 0.0f)) << name;
   }
 }
 
@@ -174,8 +174,8 @@ TEST(FaultInjectionSession, RestoreIsIdempotent) {
   session.restore();
   session.restore();
   EXPECT_FALSE(session.injected());
-  for (const Param* p : parameters_of(*net)) {
-    EXPECT_TRUE(p->value.allclose(before.at(p->name), 0.0f, 0.0f));
+  for (const auto& [name, p] : named_parameters_of(*net)) {
+    EXPECT_TRUE(p->value.allclose(before.at(name), 0.0f, 0.0f));
   }
 }
 
@@ -192,8 +192,8 @@ TEST(FaultInjectionSession, RestoresWhenEvaluationThrows) {
         throw std::runtime_error("evaluation blew up");
       },
       std::runtime_error);
-  for (const Param* p : parameters_of(*net)) {
-    EXPECT_TRUE(p->value.allclose(before.at(p->name), 0.0f, 0.0f)) << p->name;
+  for (const auto& [name, p] : named_parameters_of(*net)) {
+    EXPECT_TRUE(p->value.allclose(before.at(name), 0.0f, 0.0f)) << name;
   }
 }
 
@@ -234,8 +234,8 @@ TEST(FaultInjectionSession, InjectRestoreCyclesAreDeterministic) {
   session.inject(StuckAtFaultModel(0.2), {}, rng_a);
   const StateDict faulted_first = state_dict_of(*net);
   session.restore();
-  for (const Param* p : parameters_of(*net)) {
-    EXPECT_TRUE(p->value.allclose(before.at(p->name), 0.0f, 0.0f)) << p->name;
+  for (const auto& [name, p] : named_parameters_of(*net)) {
+    EXPECT_TRUE(p->value.allclose(before.at(name), 0.0f, 0.0f)) << name;
   }
 
   // Re-injecting with the same seed through the SAME session (reused
@@ -248,8 +248,8 @@ TEST(FaultInjectionSession, InjectRestoreCyclesAreDeterministic) {
   }
   session.restore();
   session.restore();  // idempotent
-  for (const Param* p : parameters_of(*net)) {
-    EXPECT_TRUE(p->value.allclose(before.at(p->name), 0.0f, 0.0f)) << p->name;
+  for (const auto& [name, p] : named_parameters_of(*net)) {
+    EXPECT_TRUE(p->value.allclose(before.at(name), 0.0f, 0.0f)) << name;
   }
 }
 
@@ -282,21 +282,31 @@ TEST(FaultInjectionSession, DestructorRestores) {
     Rng rng(39);
     session.inject(StuckAtFaultModel(0.5), {}, rng);
   }
-  for (const Param* p : parameters_of(*net)) {
-    EXPECT_TRUE(p->value.allclose(before.at(p->name), 0.0f, 0.0f)) << p->name;
+  for (const auto& [name, p] : named_parameters_of(*net)) {
+    EXPECT_TRUE(p->value.allclose(before.at(name), 0.0f, 0.0f)) << name;
   }
 }
 
 TEST(FaultInjectionSession, HitMasksAlignWithParams) {
+  // zero_hit_gradients clears the gradient exactly where a cell fault
+  // changed a weight, and nowhere else (biases included).
   auto net = make_mlp({10, 10, 10}, 25);
+  const StateDict clean = state_dict_of(*net);
   FaultInjectionSession session(*net);
   Rng rng(26);
   session.inject(StuckAtFaultModel(0.1), {}, rng);
-  ASSERT_EQ(session.faulted_params().size(), session.hit_masks().size());
-  for (std::size_t k = 0; k < session.faulted_params().size(); ++k) {
-    EXPECT_EQ(session.faulted_params()[k]->value.shape(), session.hit_masks()[k].shape());
-    EXPECT_EQ(session.faulted_params()[k]->kind, ParamKind::kCrossbarWeight);
+  for (Param* p : parameters_of(*net)) p->grad.fill(1.0f);
+  session.zero_hit_gradients();
+  int hits = 0;
+  for (const auto& [name, p] : named_parameters_of(*net)) {
+    const Tensor& before = clean.at(name);
+    for (std::int64_t i = 0; i < p->value.numel(); ++i) {
+      const bool hit = p->value[i] != before[i];
+      EXPECT_EQ(p->grad[i], hit ? 0.0f : 1.0f) << name << "[" << i << "]";
+      hits += hit ? 1 : 0;
+    }
   }
+  EXPECT_GT(hits, 0);
 }
 
 class InjectionRateTest : public ::testing::TestWithParam<double> {};

@@ -105,9 +105,9 @@ TEST(FtTrainer, WeightsEndCleanAndFinite) {
   auto model = tiny_model(5);
   FtTrainConfig ft = fast_ft(0.3);  // heavy faults during training
   FaultTolerantTrainer(*model, *train, ft).run();
-  for (const Param* p : parameters_of(*model)) {
+  for (const auto& [name, p] : named_parameters_of(*model)) {
     for (std::int64_t i = 0; i < p->value.numel(); ++i) {
-      EXPECT_TRUE(std::isfinite(p->value[i])) << p->name;
+      EXPECT_TRUE(std::isfinite(p->value[i])) << name;
     }
   }
   // A clean forward still works and is not degenerate.

@@ -179,21 +179,11 @@ TEST(GemmKernelLevels, ScalarAndAvx2AgreeWithinTolerance) {
   EXPECT_TRUE(c_scalar.allclose(c_avx2, 1e-3f, 1e-3f));
 }
 
-TEST(KernelDispatch, ParseKernelEnvContract) {
-  EXPECT_EQ(kernels::parse_kernel_env("scalar", KernelLevel::kAvx2), KernelLevel::kScalar);
-  EXPECT_EQ(kernels::parse_kernel_env(nullptr, KernelLevel::kScalar), KernelLevel::kScalar);
-  EXPECT_EQ(kernels::parse_kernel_env("bogus", KernelLevel::kScalar), KernelLevel::kScalar);
-  // "avx2" resolves to the AVX2 kernel only when the host can run it.
-  const KernelLevel want =
-      kernels::avx2_available() ? KernelLevel::kAvx2 : KernelLevel::kScalar;
-  EXPECT_EQ(kernels::parse_kernel_env("avx2", KernelLevel::kScalar), want);
-}
-
 TEST(KernelDispatch, StrictEnvParseThrowsOnUnknownLevel) {
   // parse_kernel_env_strict is what the cached FTPIM_KERNEL resolution uses:
-  // unset/empty keeps the fallback, known names resolve (with the same
-  // capability clamp as the lenient parser), anything else is a typo and
-  // must throw instead of silently running the host's best kernel.
+  // unset/empty keeps the fallback, known names resolve ("avx2" only to a
+  // level the host can run), anything else is a typo and must throw instead
+  // of silently running the host's best kernel.
   EXPECT_EQ(kernels::parse_kernel_env_strict(nullptr, KernelLevel::kScalar),
             KernelLevel::kScalar);
   EXPECT_EQ(kernels::parse_kernel_env_strict("", KernelLevel::kScalar), KernelLevel::kScalar);
@@ -316,22 +306,19 @@ TEST(ConvKernelCorrectness, GradInputMatchesIm2colReference) {
 // ---------------------------------------------------------------------------
 
 struct ConvRun {
-  Tensor out, grad_input, grad_weight, grad_bias;
+  Tensor out, grad_input, grad_weight;
 };
 
 ConvRun run_conv(int workers) {
   ThreadGuard threads(workers);
   Rng rng(42);
-  Conv2d conv(3, 8, 3, 1, 1, rng, /*with_bias=*/true);
+  Conv2d conv(3, 8, 3, 1, 1, rng);
   const Tensor x = random_tensor(Shape{5, 3, 11, 9}, 61);
   ConvRun r;
   r.out = conv.forward(x, /*training=*/true);
   const Tensor dy = random_tensor(r.out.shape(), 62);
   r.grad_input = conv.backward(dy);
-  std::vector<Param*> params;
-  conv.collect_params("", params);
-  r.grad_weight = params[0]->grad;
-  r.grad_bias = params[1]->grad;
+  r.grad_weight = conv.weight().grad;
   return r;
 }
 
@@ -349,7 +336,6 @@ TEST(ConvKernelDeterminism, ForwardBackwardBitIdenticalAcrossThreadCounts) {
     expect_bitwise_equal(baseline.out, r.out, "forward output", workers);
     expect_bitwise_equal(baseline.grad_input, r.grad_input, "grad_input", workers);
     expect_bitwise_equal(baseline.grad_weight, r.grad_weight, "grad_weight", workers);
-    expect_bitwise_equal(baseline.grad_bias, r.grad_bias, "grad_bias", workers);
   }
 }
 

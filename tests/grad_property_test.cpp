@@ -33,7 +33,7 @@ class ConvGradTest : public ::testing::TestWithParam<ConvCase> {};
 TEST_P(ConvGradTest, InputAndParamGradients) {
   const ConvCase c = GetParam();
   Rng rng(1);
-  Conv2d conv(c.in_c, c.out_c, c.kernel, c.stride, c.pad, rng, /*with_bias=*/true);
+  Conv2d conv(c.in_c, c.out_c, c.kernel, c.stride, c.pad, rng);
   const Tensor x = random_tensor(Shape{2, c.in_c, c.img, c.img}, 2);
   EXPECT_LT(check_input_gradient(conv, x, 3, kEps), kTol);
   EXPECT_LT(check_param_gradients(conv, x, 4, kEps), kTol);
@@ -115,7 +115,7 @@ TEST(CompositeGrad, MaxPoolInStack) {
   Rng rng(20);
   Sequential net;
   net.emplace<Conv2d>(1, 2, 3, 1, 1, rng);
-  net.emplace<MaxPool2d>(2, 2);
+  net.emplace<MaxPool2d>();
   net.emplace<Flatten>();
   net.emplace<Linear>(2 * 3 * 3, 2, rng);
   const Tensor x = random_tensor(Shape{1, 1, 6, 6}, 21);

@@ -75,7 +75,7 @@ TEST(Conv2d, StrideTwoHalvesResolution) {
 
 TEST(Conv2d, GradientsMatchNumeric) {
   Rng rng(8);
-  Conv2d conv(2, 3, 3, 1, 1, rng, /*with_bias=*/true);
+  Conv2d conv(2, 3, 3, 1, 1, rng);
   const Tensor x = random_tensor(Shape{2, 2, 4, 4}, 9);
   EXPECT_LT(check_input_gradient(conv, x, 12), kGradTol);
   EXPECT_LT(check_param_gradients(conv, x, 13), kGradTol);
@@ -164,15 +164,19 @@ TEST(GlobalAvgPool, ForwardAndGradient) {
 }
 
 TEST(MaxPool2d, ForwardSelectsMaxima) {
-  MaxPool2d pool(2, 2);
+  MaxPool2d pool;
   Tensor x(Shape{1, 1, 2, 2}, std::vector<float>{1, 7, 3, 2});
   const Tensor y = pool.forward(x, false);
   EXPECT_EQ(y.shape(), (Shape{1, 1, 1, 1}));
   EXPECT_FLOAT_EQ(y[0], 7.0f);
+  // An odd side drops its last row/column; a side below 2 has no window and
+  // must not be read past.
+  EXPECT_EQ(pool.forward(Tensor(Shape{1, 1, 3, 5}), false).shape(), (Shape{1, 1, 1, 2}));
+  EXPECT_THROW((void)pool.forward(Tensor(Shape{1, 1, 1, 4}), false), std::invalid_argument);
 }
 
 TEST(MaxPool2d, GradientRoutesToArgmax) {
-  MaxPool2d pool(2, 2);
+  MaxPool2d pool;
   Tensor x(Shape{1, 1, 2, 2}, std::vector<float>{1, 7, 3, 2});
   (void)pool.forward(x, true);
   const Tensor g = pool.backward(Tensor(Shape{1, 1, 1, 1}, std::vector<float>{4.0f}));
@@ -197,10 +201,10 @@ TEST(Sequential, ComposesAndCollectsParams) {
   net.emplace<Linear>(8, 2, rng);
   const Tensor x = random_tensor(Shape{3, 4}, 29);
   EXPECT_EQ(net.forward(x, false).shape(), (Shape{3, 2}));
-  const auto params = parameters_of(net);
+  const auto params = named_parameters_of(net);
   ASSERT_EQ(params.size(), 4u);  // two weights, two biases
-  EXPECT_EQ(params[0]->name, "0.weight");
-  EXPECT_EQ(params[2]->name, "2.weight");
+  EXPECT_EQ(params[0].name, "0.weight");
+  EXPECT_EQ(params[2].name, "2.weight");
 }
 
 TEST(Sequential, GradientsThroughStack) {

@@ -11,23 +11,23 @@
 namespace ftpim {
 namespace {
 
-Param make_param(const char* name, std::vector<float> values, ParamKind kind) {
+Param make_param(std::vector<float> values, ParamKind kind) {
   const auto n = static_cast<std::int64_t>(values.size());
-  return Param(name, Tensor(Shape{n}, std::move(values)), kind);
+  return Param(Tensor(Shape{n}, std::move(values)), kind);
 }
 
 TEST(Sgd, PlainStepMatchesManual) {
-  Param p = make_param("w", {1.0f, 2.0f}, ParamKind::kCrossbarWeight);
+  Param p = make_param({1.0f, 2.0f}, ParamKind::kCrossbarWeight);
   p.grad = Tensor::from_vector({0.5f, -0.5f});
-  Sgd opt({&p}, SgdConfig{.lr = 0.1f, .momentum = 0.0f, .weight_decay = 0.0f, .grad_clip = 0.0f});
+  Sgd opt({{"w", &p}}, SgdConfig{.lr = 0.1f, .momentum = 0.0f, .weight_decay = 0.0f, .grad_clip = 0.0f});
   opt.step();
   EXPECT_FLOAT_EQ(p.value[0], 1.0f - 0.1f * 0.5f);
   EXPECT_FLOAT_EQ(p.value[1], 2.0f + 0.1f * 0.5f);
 }
 
 TEST(Sgd, MomentumAccumulates) {
-  Param p = make_param("w", {0.0f}, ParamKind::kCrossbarWeight);
-  Sgd opt({&p}, SgdConfig{.lr = 1.0f, .momentum = 0.5f, .weight_decay = 0.0f, .grad_clip = 0.0f});
+  Param p = make_param({0.0f}, ParamKind::kCrossbarWeight);
+  Sgd opt({{"w", &p}}, SgdConfig{.lr = 1.0f, .momentum = 0.5f, .weight_decay = 0.0f, .grad_clip = 0.0f});
   p.grad = Tensor::from_vector({1.0f});
   opt.step();  // v=1, w=-1
   EXPECT_FLOAT_EQ(p.value[0], -1.0f);
@@ -37,10 +37,10 @@ TEST(Sgd, MomentumAccumulates) {
 }
 
 TEST(Sgd, WeightDecayOnlyOnCrossbarWeights) {
-  Param w = make_param("w", {1.0f}, ParamKind::kCrossbarWeight);
-  Param g = make_param("gamma", {1.0f}, ParamKind::kNorm);
-  Param b = make_param("bias", {1.0f}, ParamKind::kBias);
-  Sgd opt({&w, &g, &b},
+  Param w = make_param({1.0f}, ParamKind::kCrossbarWeight);
+  Param g = make_param({1.0f}, ParamKind::kNorm);
+  Param b = make_param({1.0f}, ParamKind::kBias);
+  Sgd opt({{"w", &w}, {"gamma", &g}, {"bias", &b}},
           SgdConfig{.lr = 1.0f, .momentum = 0.0f, .weight_decay = 0.1f, .grad_clip = 0.0f});
   opt.step();  // zero grads: only decay acts
   EXPECT_FLOAT_EQ(w.value[0], 0.9f);
@@ -49,9 +49,9 @@ TEST(Sgd, WeightDecayOnlyOnCrossbarWeights) {
 }
 
 TEST(Sgd, GradClipScalesLargeGradients) {
-  Param p = make_param("w", {0.0f, 0.0f}, ParamKind::kBias);
+  Param p = make_param({0.0f, 0.0f}, ParamKind::kBias);
   p.grad = Tensor::from_vector({3.0f, 4.0f});  // norm 5
-  Sgd opt({&p}, SgdConfig{.lr = 1.0f, .momentum = 0.0f, .weight_decay = 0.0f, .grad_clip = 1.0f});
+  Sgd opt({{"w", &p}}, SgdConfig{.lr = 1.0f, .momentum = 0.0f, .weight_decay = 0.0f, .grad_clip = 1.0f});
   opt.step();
   // Clipped to unit norm: grad (0.6, 0.8).
   EXPECT_NEAR(p.value[0], -0.6f, 1e-5f);
@@ -59,8 +59,8 @@ TEST(Sgd, GradClipScalesLargeGradients) {
 }
 
 TEST(Sgd, MaskFreezesPrunedPositions) {
-  Param p = make_param("w", {1.0f, 2.0f}, ParamKind::kCrossbarWeight);
-  Sgd opt({&p}, SgdConfig{.lr = 0.1f, .momentum = 0.9f, .weight_decay = 0.0f, .grad_clip = 0.0f});
+  Param p = make_param({1.0f, 2.0f}, ParamKind::kCrossbarWeight);
+  Sgd opt({{"w", &p}}, SgdConfig{.lr = 0.1f, .momentum = 0.9f, .weight_decay = 0.0f, .grad_clip = 0.0f});
   Tensor mask = Tensor::from_vector({0.0f, 1.0f});
   opt.set_mask(&p, mask);
   p.value[0] = 0.0f;  // pruned position
@@ -71,21 +71,35 @@ TEST(Sgd, MaskFreezesPrunedPositions) {
 }
 
 TEST(Sgd, MaskShapeValidation) {
-  Param p = make_param("w", {1.0f, 2.0f}, ParamKind::kCrossbarWeight);
-  Sgd opt({&p}, SgdConfig{});
+  Param p = make_param({1.0f, 2.0f}, ParamKind::kCrossbarWeight);
+  Sgd opt({{"w", &p}}, SgdConfig{});
   EXPECT_THROW(opt.set_mask(&p, Tensor(Shape{3})), std::invalid_argument);
 }
 
 TEST(Sgd, ConfigValidation) {
-  Param p = make_param("w", {1.0f}, ParamKind::kCrossbarWeight);
-  EXPECT_THROW(Sgd({&p}, SgdConfig{.lr = 0.0f}), std::invalid_argument);
-  EXPECT_THROW(Sgd({&p}, SgdConfig{.lr = 0.1f, .momentum = 1.0f}), std::invalid_argument);
+  Param p = make_param({1.0f}, ParamKind::kCrossbarWeight);
+  EXPECT_THROW(Sgd({{"w", &p}}, SgdConfig{.lr = 0.0f}), std::invalid_argument);
+  EXPECT_THROW(Sgd({{"w", &p}}, SgdConfig{.lr = 0.1f, .momentum = 1.0f}), std::invalid_argument);
+}
+
+TEST(Sgd, RefusedLoadStateChangesNothing) {
+  Param w = make_param({1.0f, 2.0f}, ParamKind::kCrossbarWeight);
+  Param b = make_param({1.0f}, ParamKind::kBias);
+  Sgd opt({{"w", &w}, {"b", &b}}, SgdConfig{.lr = 0.1f, .momentum = 0.9f});
+  w.grad = Tensor::from_vector({1.0f, 1.0f});
+  opt.step();
+  const StateDict before = opt.state_dict();
+  StateDict bad = before;
+  bad.at("velocity/w").fill(7.0f);  // fits
+  bad.at("velocity/b") = Tensor(Shape{2});
+  EXPECT_THROW(opt.load_state(bad), std::invalid_argument);
+  EXPECT_TRUE(opt.state_dict().at("velocity/w").allclose(before.at("velocity/w"), 0.0f, 0.0f));
 }
 
 TEST(Sgd, ConvergesOnQuadratic) {
   // min (w-3)^2: gradient 2(w-3).
-  Param p = make_param("w", {0.0f}, ParamKind::kBias);
-  Sgd opt({&p}, SgdConfig{.lr = 0.1f, .momentum = 0.9f, .weight_decay = 0.0f, .grad_clip = 0.0f});
+  Param p = make_param({0.0f}, ParamKind::kBias);
+  Sgd opt({{"w", &p}}, SgdConfig{.lr = 0.1f, .momentum = 0.9f, .weight_decay = 0.0f, .grad_clip = 0.0f});
   for (int i = 0; i < 200; ++i) {
     p.grad = Tensor::from_vector({2.0f * (p.value[0] - 3.0f)});
     opt.step();

@@ -51,10 +51,10 @@ TEST(MagnitudePrune, PerLayerHitsExactSparsity) {
   auto net = make_mlp({20, 30, 10}, 2);
   const auto masks =
       magnitude_prune(*net, MagnitudePruneConfig{.sparsity = 0.5, .scope = PruneScope::kPerLayer});
-  for (const PruneMask& m : masks) {
+  for (std::size_t k = 0; k < masks.size(); ++k) {
     const double layer_sparsity =
-        static_cast<double>(m.pruned()) / static_cast<double>(m.mask.numel());
-    EXPECT_NEAR(layer_sparsity, 0.5, 0.01) << m.param->name;
+        static_cast<double>(masks[k].pruned()) / static_cast<double>(masks[k].mask.numel());
+    EXPECT_NEAR(layer_sparsity, 0.5, 0.01) << "crossbar weight " << k;
   }
   EXPECT_NEAR(model_sparsity(*net), 0.5, 0.01);
 }

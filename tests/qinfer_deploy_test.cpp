@@ -2,7 +2,8 @@
 //   * QuantDeploy — hook install/uninstall lifecycle (dtor, clone-drop,
 //     training-path bypass), Linear/Conv2d eval forwards routed through the
 //     engines, non-finite activations that poison only the outputs they
-//     reach, and the model-cell-space defect map plumbing;
+//     reach, and the model-cell-space defect map plumbing (each engine's
+//     cell range is its crossbar_params weight's);
 //   * QuantConvLowering — the engine's per-image int8 conv, and MvmHook's
 //     default staging for hooks that implement only mvm_batch, against the
 //     manual lowering, bit for bit with equal ABFT tallies, over a geometry
@@ -26,6 +27,7 @@
 #include "src/core/trainer.hpp"
 #include "src/data/synthetic.hpp"
 #include "src/models/mlp.hpp"
+#include "src/models/resnet.hpp"
 #include "src/models/small_cnn.hpp"
 #include "src/nn/activations.hpp"
 #include "src/nn/conv2d.hpp"
@@ -199,7 +201,7 @@ TEST(QuantDeploy, NonFiniteConvInputPoisonsOnlyCoveringPixels) {
   for (const Case c : {Case{3, 1, 1, 2, 4}, Case{1, 2, 0, 1, 3}}) {
     Rng rng(21);
     Sequential net;
-    net.emplace<Conv2d>(2, 5, c.kernel, c.stride, c.pad, rng, /*with_bias=*/true);
+    net.emplace<Conv2d>(2, 5, c.kernel, c.stride, c.pad, rng);
     const auto deployment = qinfer::deploy_quantized(net, deploy_config());
     const std::int64_t H = 6, W = 6;
     const Tensor x = random_tensor(Shape{2, 2, H, W}, 22);
@@ -273,6 +275,40 @@ TEST(QuantDeploy, ModelCellSpaceDefectMapSlicesPerLayer) {
   deployment->clear_defects();
   EXPECT_EQ(deployment->stuck_cells(), 0);
   EXPECT_TRUE(deployment->engine(0).read_back().allclose(clean0, 0.0f, 0.0f));
+}
+
+TEST(QuantDeploy, LayerCellRangesFollowCrossbarParams) {
+  // Engine i owns model cells [offset_i, offset_i + 2 * numel(weight_i)),
+  // offset_i the running sum over crossbar_params: a fault on the first and
+  // on the last cell of each range must land on cells 0 and 2n-1 of engine i.
+  std::vector<std::unique_ptr<Sequential>> nets;
+  nets.push_back(make_resnet20(10, /*base_width=*/8, /*seed=*/1));
+  nets.push_back(make_small_cnn(SmallCnnConfig{.image_size = 8, .width = 4, .classes = 4}));
+  for (const auto& net : nets) {
+    const auto deployment = qinfer::deploy_quantized(*net, deploy_config());
+    const std::vector<Param*> weights = crossbar_params(*net);
+    ASSERT_EQ(deployment->layer_count(), weights.size());
+    std::int64_t offset = 0;
+    std::vector<CellFault> faults;
+    for (const Param* w : weights) {
+      const std::int64_t cells = 2 * w->value.numel();
+      faults.push_back({offset, FaultType::kStuckOff});
+      faults.push_back({offset + cells - 1, FaultType::kStuckOn});
+      offset += cells;
+    }
+    EXPECT_EQ(deployment->cell_count(), offset);
+    deployment->apply_defect_map(DefectMap::from_faults(offset, faults));
+    for (std::size_t i = 0; i < weights.size(); ++i) {
+      const DefectMap local = deployment->engine(i).defect_map();
+      const std::int64_t cells = 2 * weights[i]->value.numel();
+      EXPECT_EQ(local.cell_count(), cells) << "layer " << i;
+      ASSERT_EQ(local.faults().size(), 2u) << "layer " << i;
+      EXPECT_EQ(local.faults()[0].cell_index, 0) << "layer " << i;
+      EXPECT_EQ(local.faults()[0].type, FaultType::kStuckOff) << "layer " << i;
+      EXPECT_EQ(local.faults()[1].cell_index, cells - 1) << "layer " << i;
+      EXPECT_EQ(local.faults()[1].type, FaultType::kStuckOn) << "layer " << i;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -533,7 +569,7 @@ serve::ReplicaPoolConfig pool_config(int replicas, double p_sa) {
 TEST(QuantServe, ReplicaWeightsStayCleanAndMapsAreDeterministic) {
   auto net = make_mlp({8, 6, 4}, 27);
   serve::ReplicaPool pool(*net, pool_config(/*replicas=*/2, /*p_sa=*/0.1));
-  const std::vector<Param*> src = parameters_of(*net);
+  const std::vector<NamedParam> src = named_parameters_of(*net);
   for (int r = 0; r < pool.size(); ++r) {
     ASSERT_NE(pool.deployment(r), nullptr);
     EXPECT_EQ(pool.defect_map(r).fault_count(), pool.injection_stats(r).faulted_cells);
@@ -541,7 +577,7 @@ TEST(QuantServe, ReplicaWeightsStayCleanAndMapsAreDeterministic) {
     std::vector<Param*> rep = parameters_of(pool.replica(r));
     ASSERT_EQ(src.size(), rep.size());
     for (std::size_t k = 0; k < src.size(); ++k) {
-      EXPECT_TRUE(src[k]->value.allclose(rep[k]->value, 0.0f, 0.0f)) << src[k]->name;
+      EXPECT_TRUE(src[k].param->value.allclose(rep[k]->value, 0.0f, 0.0f)) << src[k].name;
     }
   }
   // Two pools with the same seed draw identical per-replica maps and produce

@@ -184,6 +184,57 @@ TEST(FtResume, MismatchedConfigIsRejected) {
   }
 }
 
+/// Resumes `model` from `ckpt` and expects a kStateMismatch naming `chunk`
+/// with the model's state bytes untouched.
+void expect_refused_unchanged(Module& model, const std::string& ckpt, const std::string& chunk,
+                              const std::string& tag) {
+  const auto data = tiny_vision();
+  const std::vector<std::uint8_t> before = weight_bytes(model);
+  FaultTolerantTrainer trainer(model, *data, ft_config(scratch_dir(tag).string()));
+  try {
+    (void)trainer.resume(ckpt);
+    ADD_FAILURE() << "expected CheckpointError for " << chunk;
+  } catch (const CheckpointError& e) {
+    EXPECT_EQ(e.kind(), CheckpointErrorKind::kStateMismatch) << e.what();
+    EXPECT_EQ(e.chunk(), chunk) << e.what();
+  }
+  EXPECT_EQ(weight_bytes(model), before) << chunk;
+}
+
+TEST(FtResume, MismatchedHeadIsRefusedBeforeTheModelIsWritten) {
+  const auto data = tiny_vision();
+  const fs::path base_dir = scratch_dir("head_base");
+  auto model = fresh_model();
+  FaultTolerantTrainer(*model, *data, ft_config(base_dir.string())).run();
+  // Same config, one more class: every entry but the head fits.
+  auto wider = make_small_cnn(SmallCnnConfig{.image_size = 8, .width = 2, .classes = 4, .seed = 21});
+  for (const int k : {1, 2}) {  // mid-stage, stage boundary
+    expect_refused_unchanged(*wider, (base_dir / checkpoint_filename(k)).string(), "MODL",
+                             "head_resume_" + std::to_string(k));
+  }
+}
+
+TEST(FtResume, MidStageOptimizerAndStreamAreCheckedBeforeTheModelIsWritten) {
+  const auto data = tiny_vision();
+  const fs::path base_dir = scratch_dir("optm_base");
+  auto model = fresh_model();
+  FaultTolerantTrainer(*model, *data, ft_config(base_dir.string())).run();
+  const TrainingCheckpoint mid = load_training_checkpoint((base_dir / checkpoint_filename(1)).string());
+
+  TrainingCheckpoint no_moment = mid;
+  no_moment.optimizer.erase(no_moment.optimizer.begin());
+  const std::string optm = (base_dir / "no_moment.ftck").string();
+  save_training_checkpoint(no_moment, optm);
+  TrainingCheckpoint no_stream = mid;
+  no_stream.rng_streams.clear();
+  const std::string rngs = (base_dir / "no_stream.ftck").string();
+  save_training_checkpoint(no_stream, rngs);
+
+  auto other = fresh_model();
+  expect_refused_unchanged(*other, optm, "OPTM", "optm_resume");
+  expect_refused_unchanged(*other, rngs, "RNGS", "rngs_resume");
+}
+
 TEST(FtResume, VerboseAndCheckpointPolicyDoNotBlockResume) {
   // verbose and retention knobs are excluded from the config echo: flipping
   // them between the original run and the resume is legal.

@@ -98,11 +98,11 @@ TEST(Evaluator, BatchSizeDoesNotChangeAccuracy) {
 
 TEST(Conv2d, NoBiasHasSingleParam) {
   Rng rng(10);
-  Conv2d conv(2, 2, 3, 1, 1, rng, /*with_bias=*/false);
-  std::vector<Param*> params;
-  conv.collect_params("c.", params);
+  Conv2d conv(2, 2, 3, 1, 1, rng);
+  const std::vector<NamedParam> params = named_parameters_of(conv);
   ASSERT_EQ(params.size(), 1u);
-  EXPECT_EQ(params[0]->name, "c.weight");
+  EXPECT_EQ(params[0].name, "weight");
+  EXPECT_EQ(params[0].param, &conv.weight());
 }
 
 }  // namespace

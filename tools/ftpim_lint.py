@@ -35,6 +35,11 @@ statistics reproducible (see DESIGN.md "Invariants & determinism rules"):
                         dispatch (FTPIM_KERNEL) so every algorithm keeps a
                         portable scalar path and the scalar/AVX2 pair stays
                         testable against each other.
+  crossbar-layer-cast   dynamic_cast to Linear or Conv2d is banned in src/
+                        outside src/nn/ — crossbar_layers() (src/nn/
+                        module.hpp) is the one way to find the layers
+                        whose weights live on crossbar cells, so every caller
+                        agrees on the model-cell order.
   test-temp-path        std::filesystem::temp_directory_path() and gtest's
                         ::testing::TempDir() are banned in tests/ outside
                         tests/test_util.hpp — ctest runs every test as its
@@ -174,6 +179,14 @@ RULES = [
         allowed=lambda rel: rel.startswith("src/tensor/kernels/"),
     ),
     Rule(
+        name="crossbar-layer-cast",
+        pattern=re.compile(r"\bdynamic_cast\s*<\s*(?:const\s+)?(?:ftpim::)?(?:Linear|Conv2d)\b"),
+        message="crossbar layers found by casting; walk crossbar_layers() "
+        "(src/nn/module.hpp), the one walk that defines the model-cell order",
+        applies=in_src,
+        allowed=lambda rel: rel.startswith("src/nn/"),
+    ),
+    Rule(
         name="test-temp-path",
         pattern=re.compile(r"\btemp_directory_path\b|\bTempDir\s*\("),
         message="shared temp path in a test; ctest -j runs tests as concurrent "
@@ -245,6 +258,8 @@ def self_test(fixture_root: str) -> int:
         "src/serve/bad_wall_clock.cpp": {"serve-wall-clock": 1},
         "src/bad/raw_file_write.cpp": {"raw-file-write": 1},
         "src/bad/simd_leak.cpp": {"simd-intrinsics": 1},
+        # dynamic_cast<Linear*> and dynamic_cast<ftpim::Conv2d*>, one line each
+        "src/bad/crossbar_layer_cast.cpp": {"crossbar-layer-cast": 2},
         # temp_directory_path() and ::testing::TempDir(), one line each
         "tests/bad_temp_path.cpp": {"test-temp-path": 2},
     }
